@@ -18,10 +18,12 @@ from .spaces import (
     Space,
     SpaceMismatchError,
     Utility,
+    basis_probes,
     compensate,
     compose,
     cumulants,
     evaluate,
+    features,
     identity,
     outcomes_equal,
     point_mass,
@@ -54,8 +56,6 @@ from .rules import (
     Rule,
     Tabular,
     Uniform,
-    choose,
-    iaru_equals_mnl_probe,
     probit,
     rule_from_json,
     rule_to_json,
@@ -63,7 +63,6 @@ from .rules import (
 from .axioms import (
     AxiomReport,
     continuity_probe,
-    cross_menu_identity_check,
     cross_menu_identity_gap,
     decomposability_epsilon,
     effective_neutrality_epsilon,

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .menus import (
+    MENU_SIZE_GUARD,
     ActionId,
     Menu,
     action_str,
@@ -113,6 +114,8 @@ def decomposability_epsilon(
     the independent product of the component distributions."""
     if m1.space != m2.space:
         raise SpaceMismatchError()
+    if len(m1) * len(m2) > MENU_SIZE_GUARD:
+        raise ValueError(f"product menu would exceed {MENU_SIZE_GUARD} actions")
     d1 = rule.choose(m1)
     d2 = rule.choose(m2)
     joint = rule.choose(product(m1, m2))
@@ -276,12 +279,6 @@ def cross_menu_identity_gap(
         return 0.0 if (lhs_zero and rhs_zero) else math.inf
     gap = (math.log(pa) + n * math.log(p0)) - (math.log(pa2) + n * math.log(p1))
     return abs(gap)
-
-
-def cross_menu_identity_check(
-    rule: Rule, menu: Menu, a: ActionId, a2: ActionId, tol: float
-) -> bool:
-    return cross_menu_identity_gap(rule, menu, a, a2) <= tol
 
 
 def power_diagonal_neutrality_epsilon(

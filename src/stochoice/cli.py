@@ -3,7 +3,8 @@ fitting, closeness certificates, the probit demonstration, and seeded
 corpus generation.
 
 Exit codes are a stable contract for CI use: 0 all requested checks
-passed, 1 an axiom or threshold failed, 2 usage or input error.
+passed, 1 an axiom or threshold failed, 2 usage or input error or a
+numerical failure (a ``RuntimeError`` such as ``QuadratureError``).
 """
 
 from __future__ import annotations
@@ -431,10 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
+    except (InputError, ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,25 +13,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .axioms import effective_neutrality_epsilon
-from .menus import Menu, action_str, diagonal_action, power
+from .menus import MENU_SIZE_GUARD, Menu, action_str, diagonal_action, power
 from .rules import ChoiceDistribution, Rule
 from .spaces import (
-    DISTRIBUTION,
-    MEAN_STDDEV,
-    PRIZE_STREAM,
-    SCALAR,
-    VECTOR,
     Outcome,
     Space,
     Utility,
-    cumulants,
+    basis_probes,
     evaluate,
+    features,
     identity,
-    point_mass,
 )
 
 PROBE_CONDITION_LIMIT = 1e10
-UPSILON_SIZE_GUARD = 1_000_000
 RECONSTRUCTION_TOL = 1e-10
 
 
@@ -73,81 +67,24 @@ class FitResult:
     probe_condition: float
 
 
-def _cumulant_probes(n: int) -> list[Outcome]:
-    """Finite-support probes whose cumulant vectors span order n.
-
-    A point mass pins the mean; Bernoulli probes with distinct success
-    probabilities and small symmetric two-point probes fill the higher
-    orders.  Support points stay within [-1, 2] so probe utilities stay
-    moderate: the log-odds inversion loses precision once a probe
-    probability approaches 1.
-    """
-    space = Space.distribution(n)
-    probes = [point_mass(space, 1.0)]
-    extras = [
-        ((0.0, 0.5), (1.0, 0.5)),
-        ((0.0, 0.75), (1.0, 0.25)),
-        ((-1.0, 0.5), (1.0, 0.5)),
-        ((0.0, 0.875), (1.0, 0.125)),
-        ((-1.0, 0.25), (1.0, 0.75)),
-        ((0.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)),
-        ((-2.0, 0.5), (1.0, 0.5)),
-    ]
-    for pairs in extras[: n - 1]:
-        probes.append(Outcome(space, pairs))
-    if len(probes) < n:
-        raise ValueError(f"no probe set available for cumulant order {n}")
-    return probes
-
-
 def fit_utility_representation(rule: Rule, space: Space) -> FitResult:
-    """Recover the rule's utility parameters by probing the canonical
-    basis of the space with binary menus.
+    """Recover the rule's utility coefficients from binary probes.
 
-    Scalar, vector, mean-stddev, prize-stream, and matrix parameters are
-    read off single probes; distribution-space cumulant weights solve a
-    linear system whose conditioning is checked and reported.
+    Each basis probe's log odds against the identity outcome is its
+    utility, so the coefficients solve one linear system in the probes'
+    feature vectors.  Its condition number is checked and reported; it
+    is exactly 1 wherever the probes are the unit feature basis.
     """
-    kind = space.kind
-    if kind == SCALAR:
-        beta = extract_utility(rule, Outcome(space, 1.0))
-        return FitResult(Utility(space, (beta,)), 1.0)
-    if kind == VECTOR:
-        weights = []
-        for i in range(space.d):
-            e_i = tuple(1.0 if j == i else 0.0 for j in range(space.d))
-            weights.append(extract_utility(rule, Outcome(space, e_i)))
-        return FitResult(Utility(space, tuple(weights)), 1.0)
-    if kind == MEAN_STDDEV:
-        g1 = extract_utility(rule, Outcome(space, (1.0, 0.0)))
-        g2 = extract_utility(rule, Outcome(space, (0.0, 1.0)))
-        return FitResult(Utility(space, (g1, g2)), 1.0)
-    if kind == DISTRIBUTION:
-        n = space.moment_order
-        if n == 0:
-            return FitResult(Utility(space, ()), 1.0)
-        probes = _cumulant_probes(n)
-        matrix = np.array([cumulants(p, n) for p in probes])
-        observed = np.array([extract_utility(rule, p) for p in probes])
-        condition = float(np.linalg.cond(matrix))
-        if condition > PROBE_CONDITION_LIMIT:
-            raise ValueError(
-                f"singular probe system (condition number {condition:.3g})"
-            )
-        gammas = np.linalg.solve(matrix, observed)
-        return FitResult(Utility(space, tuple(gammas.tolist())), condition)
-    if kind == PRIZE_STREAM:
-        weights = [
-            extract_utility(rule, Outcome(space, (p,))) for p in space.alphabet
-        ]
-        return FitResult(Utility(space, tuple(weights)), 1.0)
-    # matrix space: probe with diag(e, 1, ..., 1) whose log|det| is exactly 1
-    diag = [[0.0] * space.d for _ in range(space.d)]
-    for i in range(space.d):
-        diag[i][i] = 1.0
-    diag[0][0] = math.e
-    beta = extract_utility(rule, Outcome(space, diag))
-    return FitResult(Utility(space, (beta,)), 1.0)
+    probes = basis_probes(space)
+    if not probes:
+        return FitResult(Utility(space, ()), 1.0)
+    matrix = np.array([features(p) for p in probes])
+    observed = np.array([extract_utility(rule, p) for p in probes])
+    condition = float(np.linalg.cond(matrix))
+    if condition > PROBE_CONDITION_LIMIT:
+        raise ValueError(f"singular probe system (condition number {condition:.3g})")
+    coeffs = np.linalg.solve(matrix, observed)
+    return FitResult(Utility(space, tuple(coeffs.tolist())), condition)
 
 
 @dataclass(frozen=True)
@@ -173,10 +110,8 @@ def upsilon(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if len(menu) ** n_max > UPSILON_SIZE_GUARD:
-        raise ValueError(
-            f"power menu would exceed {UPSILON_SIZE_GUARD} actions"
-        )
+    if len(menu) ** n_max > MENU_SIZE_GUARD:
+        raise ValueError(f"power menu would exceed {MENU_SIZE_GUARD} actions")
     dist = rule.choose(power(menu, n_max))
     raw = {}
     for a in menu.actions:

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Union
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
+
 from .spaces import (
     PRIZE_STREAM,
     Outcome,
@@ -20,7 +24,6 @@ from .spaces import (
     SpaceMismatchError,
     compose,
     outcome_from_json,
-    outcome_sort_key,
     outcome_to_json,
     outcomes_equal,
     canonical_value,
@@ -28,6 +31,10 @@ from .spaces import (
 
 # an action id is an atomic label or an ordered pair of action ids
 ActionId = Union[str, tuple]
+
+# the largest product or power menu that upsilon and the decomposability
+# check will build
+MENU_SIZE_GUARD = 1_000_000
 
 _RESERVED = set("(),")
 
@@ -180,42 +187,45 @@ def default_equivalence_tol(space: Space) -> float:
 def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
     """A bijection of actions matching outcomes within tol, or None.
 
-    Found greedily by sorting both outcome multisets; equal-outcome
-    groups are interchangeable so sorted order suffices.
+    A maximum bipartite matching over the pairs of equal outcomes, so
+    it is found whenever one exists, even where equality within tol is
+    not transitive.
     """
     if m1.space != m2.space or len(m1) != len(m2):
         return None
     if tol is None:
         tol = default_equivalence_tol(m1.space)
-    key = lambda entry: outcome_sort_key(entry[1])
-    left = sorted(m1.entries, key=key)
-    right = sorted(m2.entries, key=key)
-    mapping = {}
-    for (a, oa), (b, ob) in zip(left, right):
-        if not outcomes_equal(oa, ob, tol):
-            return None
-        mapping[a] = b
-    return mapping
+    compatible = csr_matrix(
+        np.array(
+            [[outcomes_equal(oa, ob, tol) for _, ob in m2.entries] for _, oa in m1.entries]
+        )
+    )
+    match = maximum_bipartite_matching(compatible, perm_type="column")
+    if np.any(match < 0):
+        return None
+    return {a: m2.entries[j][0] for (a, _), j in zip(m1.entries, match)}
+
+
+def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
+    """Header and sorted body of the canonical encoding."""
+    space = menu.space
+    head = f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}#"
+    return head, sorted(f"{action_str(a)}={canonical_value(o)}" for a, o in menu.entries)
 
 
 def canonical_key(menu: Menu) -> str:
     """Order-insensitive canonical encoding (outcomes at 12 significant
     digits), used for tabular lookup and deterministic shock seeds."""
-    body = sorted(f"{action_str(a)}={canonical_value(o)}" for a, o in menu.entries)
-    space = menu.space
-    head = f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}"
-    return head + "#" + ";".join(body)
+    head, body = _canonical_parts(menu)
+    return head + ";".join(body)
 
 
 def menu_hash(menu: Menu) -> int:
     """64-bit digest of the canonical encoding, streamed to keep large
     power menus from materializing the full key string."""
-    space = menu.space
-    h = hashlib.blake2b(digest_size=8)
-    h.update(
-        f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}#".encode()
-    )
-    for part in sorted(f"{action_str(a)}={canonical_value(o)}" for a, o in menu.entries):
+    head, body = _canonical_parts(menu)
+    h = hashlib.blake2b(head.encode(), digest_size=8)
+    for part in body:
         h.update(part.encode())
         h.update(b";")
     return int.from_bytes(h.digest(), "big")

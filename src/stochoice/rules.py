@@ -347,25 +347,6 @@ class OutcomeScaled(Rule):
         return ChoiceDistribution({a: dist[a] for a in menu.actions})
 
 
-def choose(rule: Rule, menu: Menu) -> ChoiceDistribution:
-    return rule.choose(menu)
-
-
-def iaru_equals_mnl_probe(
-    beta: float, menus: list[Menu], tol: float
-) -> tuple[bool, float]:
-    """Max probability deviation between IARU(Gumbel(beta)) and MNL(beta)."""
-    iaru = IARU(GumbelShock(beta))
-    mnl = MNL(beta)
-    worst = 0.0
-    for menu in menus:
-        di = iaru.choose(menu)
-        dm = mnl.choose(menu)
-        for a in menu.actions:
-            worst = max(worst, abs(di[a] - dm[a]))
-    return worst <= tol, worst
-
-
 def rule_to_json(rule: Rule) -> dict:
     if isinstance(rule, MNL):
         beta = rule.beta

@@ -3,8 +3,9 @@
 Six concrete spaces share one interface: a binary composition for
 combining outcomes of unrelated actions, an identity element, a
 compensation construction that bridges any two outcomes where the
-space permits it, and utility functionals that are additive over
-composition (``u(x*y) = u(x) + u(y)``).
+space permits it, and a feature map phi that is additive over
+composition (``phi(x*y) = phi(x) + phi(y)``).  Every utility is
+``coeffs . phi(x)``, so it is additive as well.
 """
 
 from __future__ import annotations
@@ -332,13 +333,11 @@ def _deconvolve(target, known):
 
 @dataclass(frozen=True, slots=True)
 class Utility:
-    """An additive-over-composition utility functional.
+    """An additive-over-composition utility functional ``coeffs . features(x)``.
 
-    One functional form per space: beta*x, w.x, gamma1*m + gamma2*sigma^2,
-    sum of gamma_l * kappa_l (cumulants), per-prize values summed over a
-    stream, beta * ln|det|.  ``coeffs`` are aligned with the space: the
-    single beta, the weight vector, (gamma1, gamma2), the cumulant
-    weights, the prize values in alphabet order, or the log-det beta.
+    ``coeffs`` are aligned with the space's feature map: the single
+    beta, the weight vector, (gamma1, gamma2), the cumulant weights, the
+    prize values in alphabet order, or the log-det beta.
     """
 
     space: Space
@@ -347,33 +346,19 @@ class Utility:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         n = len(self.coeffs)
-        kind = self.space.kind
-        expected = {
-            SCALAR: 1,
-            VECTOR: self.space.d,
-            MEAN_STDDEV: 2,
-            DISTRIBUTION: self.space.moment_order,
-            PRIZE_STREAM: len(self.space.alphabet),
-            MATRIX: 1,
-        }[kind]
+        expected = len(features(identity(self.space)))
         if n != expected:
-            raise ValueError(f"{kind} utility needs {expected} coefficients, got {n}")
+            raise ValueError(
+                f"{self.space.kind} utility needs {expected} coefficients, got {n}"
+            )
 
     @staticmethod
     def scalar_beta(beta: float) -> "Utility":
         return Utility(Space.scalar(), (beta,))
 
     @staticmethod
-    def linear(space: Space, weights) -> "Utility":
-        return Utility(space, tuple(weights))
-
-    @staticmethod
     def mean_variance(gamma1: float, gamma2: float) -> "Utility":
         return Utility(Space.mean_stddev(), (gamma1, gamma2))
-
-    @staticmethod
-    def cumulant(space: Space, gammas) -> "Utility":
-        return Utility(space, tuple(gammas))
 
     @staticmethod
     def prize_values(space: Space, values: dict) -> "Utility":
@@ -382,9 +367,6 @@ class Utility:
     @staticmethod
     def log_det(d: int, beta: float) -> "Utility":
         return Utility(Space.matrix(d), (beta,))
-
-    def prize_value_map(self) -> dict:
-        return dict(zip(self.space.alphabet, self.coeffs))
 
     def to_json(self) -> dict:
         out: dict = {"space": self.space.to_json()}
@@ -398,7 +380,7 @@ class Utility:
         elif kind == DISTRIBUTION:
             out["gammas"] = list(self.coeffs)
         else:
-            out["weights"] = self.prize_value_map()
+            out["weights"] = dict(zip(self.space.alphabet, self.coeffs))
         return out
 
     @staticmethod
@@ -416,26 +398,76 @@ class Utility:
         return Utility.prize_values(space, data["weights"])
 
 
+def features(x: Outcome) -> tuple[float, ...]:
+    """The additive feature map phi, with phi(x*y) = phi(x) + phi(y).
+
+    x itself for scalars and vectors, (m, sigma^2) for mean-stddev
+    pairs, the cumulants kappa_1..kappa_n for distributions, the count
+    of each alphabet label for prize streams, and ln|det| for matrices.
+    Every built-in utility is ``coeffs . phi(x)``.
+    """
+    kind = x.space.kind
+    if kind == SCALAR:
+        return (x.value,)
+    if kind == VECTOR:
+        return x.value
+    if kind == MEAN_STDDEV:
+        m, s = x.value
+        return (m, s * s)
+    if kind == DISTRIBUTION:
+        return cumulants(x, x.space.moment_order)
+    if kind == PRIZE_STREAM:
+        return tuple(float(x.value.count(p)) for p in x.space.alphabet)
+    _, logdet = np.linalg.slogdet(np.array(x.value))
+    return (float(logdet),)
+
+
 def evaluate(u: Utility, x: Outcome) -> float:
     """Utility of an outcome; additive over compose by construction."""
     if u.space != x.space:
         raise SpaceMismatchError()
-    kind = x.space.kind
+    return math.fsum(c * f for c, f in zip(u.coeffs, features(x)))
+
+
+def basis_probes(space: Space) -> list[Outcome]:
+    """Outcomes whose feature vectors form an invertible square matrix.
+
+    The unit basis of the features wherever single outcomes realize it;
+    finite-support lotteries for cumulants; diag(e, 1, ..., 1), whose
+    log|det| is exactly 1, for matrices.  Distribution probes keep their
+    support within [-1, 2] so probe utilities stay moderate: the
+    log-odds inversion loses precision once a probe probability
+    approaches 1.
+    """
+    kind = space.kind
     if kind == SCALAR:
-        return u.coeffs[0] * x.value
-    if kind == VECTOR:
-        return math.fsum(w * t for w, t in zip(u.coeffs, x.value))
-    if kind == MEAN_STDDEV:
-        m, s = x.value
-        return u.coeffs[0] * m + u.coeffs[1] * s * s
-    if kind == DISTRIBUTION:
-        kappas = cumulants(x, x.space.moment_order)
-        return math.fsum(g * k for g, k in zip(u.coeffs, kappas))
+        return [Outcome(space, 1.0)]
+    if kind in (VECTOR, MEAN_STDDEV):
+        k = len(features(identity(space)))
+        return [Outcome(space, tuple(row)) for row in np.eye(k)]
     if kind == PRIZE_STREAM:
-        values = u.prize_value_map()
-        return math.fsum(values[p] for p in x.value)
-    _, logdet = np.linalg.slogdet(np.array(x.value))
-    return u.coeffs[0] * float(logdet)
+        return [Outcome(space, (p,)) for p in space.alphabet]
+    if kind == MATRIX:
+        diag = np.eye(space.d)
+        diag[0, 0] = math.e
+        return [Outcome(space, diag)]
+    # a point mass pins the mean; Bernoulli probes with distinct success
+    # probabilities and small symmetric two-point probes fill the higher
+    # orders
+    n = space.moment_order
+    lotteries = [
+        ((1.0, 1.0),),
+        ((0.0, 0.5), (1.0, 0.5)),
+        ((0.0, 0.75), (1.0, 0.25)),
+        ((-1.0, 0.5), (1.0, 0.5)),
+        ((0.0, 0.875), (1.0, 0.125)),
+        ((-1.0, 0.25), (1.0, 0.75)),
+        ((0.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)),
+        ((-2.0, 0.5), (1.0, 0.5)),
+    ]
+    if n > len(lotteries):
+        raise ValueError(f"no probe set available for cumulant order {n}")
+    return [Outcome(space, pairs) for pairs in lotteries[:n]]
 
 
 def cumulants(x: Outcome, n: int) -> tuple[float, ...]:
@@ -487,18 +519,6 @@ def outcomes_equal(x: Outcome, y: Outcome, tol: float | None = None) -> bool:
     return all(
         abs(a - b) <= tol for ra, rb in zip(x.value, y.value) for a, b in zip(ra, rb)
     )
-
-
-def outcome_sort_key(x: Outcome):
-    """Deterministic ordering key used for greedy multiset matching."""
-    kind = x.space.kind
-    if kind == SCALAR:
-        return (x.value,)
-    if kind in (VECTOR, MEAN_STDDEV, PRIZE_STREAM):
-        return tuple(x.value)
-    if kind == DISTRIBUTION:
-        return tuple(t for pair in x.value for t in pair)
-    return tuple(t for row in x.value for t in row)
 
 
 def outcome_to_json(x: Outcome):

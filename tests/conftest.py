@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from stochoice import Outcome, Space, Utility
+from stochoice import IARU, MNL, GumbelShock, Outcome, Space, Utility
 
 hypothesis.settings.register_profile(
     "ci", max_examples=60, derandomize=True, deadline=None
@@ -90,3 +90,16 @@ def utility_for(space: Space):
         "matrix": 1,
     }[space.kind]
     return st.tuples(*[finite] * n).map(lambda cs: Utility(space, cs))
+
+
+def iaru_equals_mnl_probe(beta, menus, tol):
+    """Max probability deviation between IARU(Gumbel(beta)) and MNL(beta)."""
+    iaru = IARU(GumbelShock(beta))
+    mnl = MNL(beta)
+    worst = 0.0
+    for menu in menus:
+        di = iaru.choose(menu)
+        dm = mnl.choose(menu)
+        for a in menu.actions:
+            worst = max(worst, abs(di[a] - dm[a]))
+    return worst <= tol, worst

@@ -7,17 +7,21 @@ from stochoice import (
     IARU,
     MNL,
     GaussianShock,
+    GeneralMNL,
     Perturbed,
+    Rule,
+    Space,
     Tabular,
     Uniform,
+    Utility,
     effective_neutrality_epsilon,
+    menu_of,
     power,
     scalar_menu,
     unit_binary_menu,
 )
 from stochoice.axioms import (
     continuity_probe,
-    cross_menu_identity_check,
     cross_menu_identity_gap,
     decomposability_epsilon,
     merge_reports,
@@ -96,6 +100,16 @@ class TestDecomposability:
         m2 = scalar_menu({"p": 0.0, "q": 1.0})
         report = decomposability_epsilon(Uniform(), m1, m2)
         assert report.min_epsilon == 0.0
+
+    def test_size_guard_fires_before_any_choice(self):
+        class Refuses(Rule):
+            def choose(self, menu):
+                raise AssertionError("the product size is known before choosing")
+
+        m1 = scalar_menu({f"a{i}": float(i) for i in range(1001)})
+        m2 = scalar_menu({f"b{i}": float(i) for i in range(1000)})
+        with pytest.raises(ValueError, match="exceed"):
+            decomposability_epsilon(Refuses(), m1, m2)
 
 
 def probit_rule():
@@ -201,10 +215,18 @@ class TestStrongNeutrality:
         with pytest.raises(ValueError):
             strong_neutrality_epsilon(MNL(1.0), WORKED, UNIT)
 
+    def test_menus_equal_only_within_tolerance(self):
+        space = Space.vector(2)
+        m1 = menu_of(space, {"p": (0.0, 1.0), "q": (1e-10, 0.0)})
+        m2 = menu_of(space, {"r": (1e-10, 1.0), "s": (0.0, 0.0)})
+        rule = GeneralMNL(Utility(space, (1.0, -0.5)))
+        report = strong_neutrality_epsilon(rule, m1, m2)
+        assert report.satisfied_at_tol
+
 
 class TestCrossMenuIdentity:
     def test_mnl_worked_menu(self):
-        assert cross_menu_identity_check(MNL(1.0), WORKED, "a3", "a2", 1e-9)
+        assert cross_menu_identity_gap(MNL(1.0), WORKED, "a3", "a2") <= 1e-9
 
     def test_binary_menu_pins_down_other_menus(self):
         # reconstruct the 3-action distribution from the unit-binary
@@ -221,13 +243,13 @@ class TestCrossMenuIdentity:
         assert direct["a3"] == pytest.approx(ratio * p_a2, rel=1e-12)
 
     def test_uniform_parameter(self):
-        assert cross_menu_identity_check(MNL(0.0), WORKED, "a3", "a1", 1e-9)
+        assert cross_menu_identity_gap(MNL(0.0), WORKED, "a3", "a1") <= 1e-9
 
     def test_probit_fails(self):
         menu = scalar_menu({"a": 0.0, "b": 2.0})
         gap = cross_menu_identity_gap(probit_rule(), menu, "b", "a")
         assert gap > 1e-3
-        assert not cross_menu_identity_check(probit_rule(), menu, "b", "a", 1e-3)
+        assert not cross_menu_identity_gap(probit_rule(), menu, "b", "a") <= 1e-3
 
     def test_requires_integer_outcomes(self):
         menu = scalar_menu({"a": 0.5, "b": 2.0})

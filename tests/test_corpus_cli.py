@@ -395,3 +395,71 @@ class TestUpsilonCommand:
         rows = json.loads(capsys.readouterr().out)
         expected = math.exp(1.0) / (1 + math.exp(1.0))
         assert rows[0]["distribution"]["b1"] == pytest.approx(expected, abs=1e-10)
+
+
+class TestExitCodes:
+    """Every failure, numerical ones included, exits 2 with an error line;
+    exit 1 is reserved for axiom violations."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        narrow = {
+            "space": {"kind": "discrete_distribution", "moment_order": 2},
+            "menu_count": 3,
+            "outcome_sampler": {"low": 0, "high": 0, "support_size": [2, 2]},
+        }
+        wide = {
+            "space": {"kind": "real_scalar"},
+            "actions": [{"id": f"a{i}", "outcome": i} for i in range(1001)],
+        }
+        unit = {
+            "space": {"kind": "real_scalar"},
+            "actions": [{"id": "b0", "outcome": 0}, {"id": "b1", "outcome": 1}],
+        }
+        probit = {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}
+        return {
+            "uniform": write(tmp_path / "uniform.json", {"type": "uniform"}),
+            "mnl": write(tmp_path / "mnl.json", {"type": "mnl", "beta": 1.0}),
+            "probit": write(tmp_path / "probit.json", probit),
+            "narrow": write(tmp_path / "narrow.json", narrow),
+            "wide": write(tmp_path / "wide.json", wide),
+            "unit": write(tmp_path / "unit.json", unit),
+            "out": str(tmp_path / "out"),
+        }
+
+    CASES = {
+        "check_sampler_too_narrow": ["check", "--rule", "uniform", "--corpus", "narrow"],
+        "certify_sampler_too_narrow": ["certify", "--rule", "uniform", "--corpus", "narrow"],
+        "gen_sampler_too_narrow": ["gen", "--spec", "narrow", "--out", "out"],
+        "check_product_over_size_guard": [
+            "check", "--rule", "mnl", "--menus", "wide",
+            "--axioms", "decomposability", "--pairs", "1",
+        ],
+        "upsilon_probit_quadrature": [
+            "upsilon", "--rule", "probit", "--menus", "unit", "--n-max", "15",
+        ],
+        "upsilon_power_over_size_guard": [
+            "upsilon", "--rule", "mnl", "--menus", "unit", "--n-max", "21",
+        ],
+        "fit_unknown_space": ["fit", "--rule", "mnl", "--space", '{"kind": "simplex"}'],
+        "fit_rule_on_wrong_space": [
+            "fit", "--rule", "probit", "--space", '{"kind": "matrix", "d": 2}',
+        ],
+        "demo_probit_unknown_shock": ["demo-probit", "--shock", "cauchy:1"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failure_exits_2(self, case, inputs, capsys):
+        argv = [inputs.get(arg, arg) for arg in self.CASES[case]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_certificate_reconstruction_failure_exits_2(
+        self, inputs, monkeypatch, capsys
+    ):
+        import stochoice.extract
+
+        monkeypatch.setattr(stochoice.extract, "RECONSTRUCTION_TOL", -1.0)
+        argv = ["certify", "--rule", inputs["mnl"], "--menus", inputs["unit"]]
+        assert main(argv) == 2
+        assert "reconstruction" in capsys.readouterr().err

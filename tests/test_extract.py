@@ -107,6 +107,13 @@ class TestFitRoundTrip:
         fit = fit_utility_representation(Uniform(), Space.mean_stddev())
         assert fit.utility.coeffs == (0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "space", [s for s in SPACES if s.kind != "discrete_distribution"], ids=lambda s: s.kind
+    )
+    def test_unit_basis_is_perfectly_conditioned(self, space):
+        fit = fit_utility_representation(Uniform(), space)
+        assert fit.probe_condition == 1.0
+
     def test_condition_number_reported(self):
         u = Utility(Space.distribution(4), (0.5, -0.25, 0.1, 0.02))
         fit = fit_utility_representation(GeneralMNL(u), u.space)

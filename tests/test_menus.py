@@ -116,6 +116,13 @@ class TestEquivalent:
         m2 = menu_of(space, {"x": ("silk",), "y": ("gold",)})
         assert equivalent(m1, m2) == {"a": "y", "b": "x"}
 
+    def test_matching_within_tolerance_is_not_greedy(self):
+        # sorting pairs p with s and fails; only p-r, q-s match within 1e-9
+        space = Space.vector(2)
+        m1 = menu_of(space, {"p": (0.0, 1.0), "q": (1e-10, 0.0)})
+        m2 = menu_of(space, {"r": (1e-10, 1.0), "s": (0.0, 0.0)})
+        assert equivalent(m1, m2) == {"p": "r", "q": "s"}
+
     def test_associativity_up_to_relabeling(self):
         m = scalar_menu({"a": 0.0, "b": 1.0})
         left = product(product(m, m), m)
@@ -183,3 +190,60 @@ class TestCanonical:
     def test_empty_menu_rejected(self):
         with pytest.raises(ValueError):
             Menu(Space.scalar(), ())
+
+
+def _golden_menus():
+    lottery = Space.distribution(3)
+    streams = Space.prizes(PRIZES)
+    return {
+        "scalar": scalar_menu({"a": 0.5, "b": -1.25, "c": 2.0}),
+        "lottery": Menu(
+            lottery,
+            (
+                ("x", Outcome(lottery, ((0.0, 0.5), (1.0, 0.5)))),
+                ("y", Outcome(lottery, ((-0.5, 0.25), (0.5, 0.75)))),
+                ("z", Outcome(lottery, ((0.25, 1.0),))),
+            ),
+        ),
+        "streams": Menu(
+            streams,
+            (
+                ("s1", Outcome(streams, ("gold", "silk"))),
+                ("s2", Outcome(streams, ())),
+                ("s3", Outcome(streams, ("herb", "herb", "gold"))),
+            ),
+        ),
+    }
+
+
+# canonical keys, digests and Perturbed(MNL(1), 0.05, seed 7) shocks as
+# released in 0.1.0; perturbed test subjects must stay reproducible
+GOLDEN = {
+    "scalar": (
+        "real_scalar/0/0/#a=0.5;b=-1.25;c=2",
+        1125324225986066118,
+        (-0.03572218781883485, 0.0068535824959577996, -0.03875801139000961),
+    ),
+    "lottery": (
+        "discrete_distribution/0/3/#x=0:0.5|1:0.5;y=-0.5:0.25|0.5:0.75;z=0.25:1",
+        4579776721889978676,
+        (0.004897224964900937, 0.008543968954256066, 0.027025354558075157),
+    ),
+    "streams": (
+        "prize_stream/0/0/gold,silk,herb#s1=gold|silk;s2=;s3=herb|herb|gold",
+        3462508383459330571,
+        (-0.037150462455851095, 0.006831401281879601, 0.023345415961706306),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_canonical_encoding_is_pinned(name):
+    from stochoice import MNL, Perturbed
+
+    menu = _golden_menus()[name]
+    key, digest, shocks = GOLDEN[name]
+    assert canonical_key(menu) == key
+    assert menu_hash(menu) == digest
+    rule = Perturbed(MNL(1.0), 0.05, 7)
+    assert tuple(rule.shock(menu, a) for a in menu.actions) == shocks

@@ -20,7 +20,6 @@ from stochoice import (
     Tabular,
     Uniform,
     Utility,
-    iaru_equals_mnl_probe,
     menu_of,
     power,
     probit,
@@ -31,6 +30,8 @@ from stochoice import (
     unit_binary_menu,
 )
 from stochoice.quadrature import adaptive_simpson
+
+from conftest import iaru_equals_mnl_probe
 
 UNIT = unit_binary_menu()
 SQUARE = product(UNIT, UNIT)

@@ -11,10 +11,12 @@ from stochoice import (
     Space,
     SpaceMismatchError,
     Utility,
+    basis_probes,
     compensate,
     compose,
     cumulants,
     evaluate,
+    features,
     identity,
     outcomes_equal,
     point_mass,
@@ -235,6 +237,60 @@ class TestEvaluate:
         assert evaluate(u, compose(x, y)) == pytest.approx(
             evaluate(u, compose(y, x)), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("space,strategy", SPACE_STRATEGIES)
+def test_features_additive_over_composition(space, strategy):
+    @given(strategy, strategy)
+    def run(x, y):
+        joint = np.array(features(compose(x, y)))
+        split = np.add(features(x), features(y))
+        assert joint.shape == np.shape(features(identity(space)))
+        assert np.max(np.abs(joint - split)) <= 1e-9
+
+    run()
+
+
+def _closed_form(u, x):
+    """Each space's utility written out by hand: beta x, w.x,
+    gamma1 m + gamma2 sigma^2, sum gamma kappa, the sum of the prize
+    values along the stream, beta ln|det|."""
+    c = u.coeffs
+    kind = x.space.kind
+    if kind == "real_scalar":
+        return c[0] * x.value
+    if kind == "real_vector":
+        return math.fsum(w * t for w, t in zip(c, x.value))
+    if kind == "mean_stddev":
+        m, s = x.value
+        return c[0] * m + c[1] * s * s
+    if kind == "discrete_distribution":
+        return math.fsum(g * k for g, k in zip(c, cumulants(x, len(c))))
+    if kind == "prize_stream":
+        values = dict(zip(x.space.alphabet, c))
+        return math.fsum(values[p] for p in x.value)
+    return c[0] * float(np.linalg.slogdet(np.array(x.value))[1])
+
+
+@pytest.mark.parametrize("space,strategy", SPACE_STRATEGIES)
+def test_evaluate_matches_closed_forms(space, strategy):
+    @given(strategy, utility_for(space))
+    def run(x, u):
+        # the absolute floor covers results that cancel to near zero
+        assert evaluate(u, x) == pytest.approx(_closed_form(u, x), rel=1e-12, abs=1e-12)
+
+    run()
+
+
+@pytest.mark.parametrize("space,_", SPACE_STRATEGIES)
+def test_basis_probes_span_the_features(space, _):
+    matrix = np.array([features(p) for p in basis_probes(space)])
+    k = len(features(identity(space)))
+    assert matrix.shape == (k, k)
+    if space.kind == "discrete_distribution":
+        assert np.linalg.cond(matrix) < 1e10
+    else:
+        assert np.array_equal(matrix, np.eye(k))
 
 
 class TestCumulants:
