@@ -42,6 +42,7 @@ from .menus import (
     power,
     product,
     scalar_menu,
+    unit_binary_menu,
 )
 from .rules import (
     IARU,
@@ -63,6 +64,7 @@ from .rules import (
 from .axioms import (
     AxiomReport,
     continuity_probe,
+    cross_menu_identity_epsilon,
     cross_menu_identity_gap,
     decomposability_epsilon,
     effective_neutrality_epsilon,
@@ -85,7 +87,6 @@ from .extract import (
     fit_beta_min_delta,
     fit_utility_representation,
     ulam_bound,
-    unit_binary_menu,
     upsilon,
 )
 from .corpus import CorpusSpec, generate_corpus, sample_pairs

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .menus import (
     MENU_SIZE_GUARD,
@@ -21,8 +22,9 @@ from .menus import (
     equivalent,
     power,
     product,
+    unit_binary_menu,
 )
-from .rules import Rule
+from .rules import OutcomeScaled, Rule
 from .spaces import SCALAR, VECTOR, Outcome, SpaceMismatchError, outcomes_equal
 
 NEUTRALITY = "neutrality"
@@ -30,9 +32,12 @@ DECOMPOSABILITY = "decomposability"
 POSITIVITY = "positivity"
 CONTINUITY = "continuity"
 STRONG_NEUTRALITY = "strong_neutrality"
+CROSS_MENU_IDENTITY = "cross_menu_identity"
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CONTINUITY_STEPS = (1e-2, 1e-4, 1e-6)
+# the space kinds whose outcomes the continuity probe can perturb
+CONTINUITY_KINDS = (SCALAR, VECTOR)
 
 
 @dataclass(frozen=True)
@@ -160,8 +165,8 @@ def continuity_probe(
     the gap fails to shrink (ratio > 0.5) while the steps shrank by at
     least 100x.  min_epsilon is the gap at the smallest step.
     """
-    if menu.space.kind not in (SCALAR, VECTOR):
-        raise SpaceMismatchError()
+    if menu.space.kind not in CONTINUITY_KINDS:
+        raise ValueError("continuity probe unsupported for this space")
     if action is None:
         action = menu.actions[0]
     decreasing = all(a > b for a, b in zip(steps, steps[1:]))
@@ -265,11 +270,7 @@ def cross_menu_identity_gap(
     n = round(oa) - round(oa2)
     if n <= 0:
         raise ValueError("requires o(a) > o(a2)")
-    unit = Menu(
-        menu.space,
-        (("b0", Outcome(menu.space, 0.0)), ("b1", Outcome(menu.space, 1.0))),
-    )
-    binary = rule.choose(unit)
+    binary = rule.choose(unit_binary_menu())
     p0, p1 = binary["b0"], binary["b1"]
     dist = rule.choose(menu)
     pa, pa2 = dist[a], dist[a2]
@@ -279,6 +280,56 @@ def cross_menu_identity_gap(
         return 0.0 if (lhs_zero and rhs_zero) else math.inf
     gap = (math.log(pa) + n * math.log(p0)) - (math.log(pa2) + n * math.log(p1))
     return abs(gap)
+
+
+def cross_menu_identity_epsilon(
+    rule: Rule,
+    menu: Menu,
+    tol: float = DEFAULT_TOL,
+    menu_id: str | None = None,
+) -> AxiomReport:
+    """The cross-menu identity gap between the menu's highest- and
+    lowest-outcome actions.
+
+    Rational outcomes are first cleared of denominators: the menu is
+    scaled by the lcm k of the outcome denominators and the rule is
+    probed as OutcomeScaled(rule, 1/k), which sees the original
+    outcomes.  The witness records k.  A constant menu has no such pair
+    and checks no instance.
+    """
+    if menu.space.kind != SCALAR:
+        raise ValueError("identity check requires scalar menus")
+    best = max(menu.entries, key=lambda e: e[1].value)
+    worst = min(menu.entries, key=lambda e: e[1].value)
+    if best[1].value == worst[1].value:
+        return AxiomReport(CROSS_MENU_IDENTITY, True, 0.0, None, 0)
+    fractions = []
+    for _, o in menu.entries:
+        f = Fraction(o.value).limit_denominator(10**6)
+        if abs(o.value - float(f)) > 1e-9:
+            raise ValueError("identity check requires integer or rational outcomes")
+        fractions.append(f)
+    k = 1
+    for f in fractions:
+        k = k * f.denominator // math.gcd(k, f.denominator)
+        if k > 10**9:
+            raise ValueError("outcome denominators too heterogeneous to clear")
+    scaled = Menu(
+        menu.space,
+        tuple(
+            (a, Outcome(menu.space, float(f * k)))
+            for (a, _), f in zip(menu.entries, fractions)
+        ),
+    )
+    probe = rule if k == 1 else OutcomeScaled(rule, 1.0 / k)
+    gap = cross_menu_identity_gap(probe, scaled, best[0], worst[0])
+    witness = {
+        "menu_id": menu_id,
+        "pair": [action_str(best[0]), action_str(worst[0])],
+        "k": k,
+        "log_gap": None if math.isinf(gap) else gap,
+    }
+    return _report(CROSS_MENU_IDENTITY, tol, gap, witness)
 
 
 def power_diagonal_neutrality_epsilon(

@@ -14,7 +14,6 @@ import glob
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import axioms
@@ -23,29 +22,22 @@ from .extract import (
     certify_closeness,
     fit_beta_min_delta,
     fit_utility_representation,
-    unit_binary_menu,
     upsilon,
 )
-from .menus import Menu, product
-from .rules import (
-    IARU,
-    GaussianShock,
-    GumbelShock,
-    OutcomeScaled,
-    Rule,
-    rule_from_json,
-)
-from .spaces import SCALAR, VECTOR, Outcome, Space, Utility
+from .menus import Menu, product, unit_binary_menu
+from .rules import Rule, rule_from_json
+from .spaces import SCALAR, Space, Utility
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# in report order; "all" is every one but identity
 CHECKABLE_AXIOMS = (
     "neutrality",
-    "decomposability",
     "positivity",
     "continuity",
+    "decomposability",
     "identity",
 )
 
@@ -88,111 +80,31 @@ def _load_menus(args) -> list[tuple[str, Menu]]:
     raise InputError("one of --menus or --corpus is required")
 
 
-def _integer_scaled(menu: Menu) -> tuple[Menu, int]:
-    """Clear denominators: the menu with outcomes scaled by the lcm k of
-    the outcome denominators (k = 1 for integer menus)."""
-    fractions = []
-    for _, o in menu.entries:
-        f = Fraction(o.value).limit_denominator(10**6)
-        if abs(o.value - float(f)) > 1e-9:
-            raise InputError(
-                "identity check requires integer or rational outcomes"
-            )
-        fractions.append(f)
-    k = 1
-    for f in fractions:
-        k = k * f.denominator // math.gcd(k, f.denominator)
-        if k > 10**9:
-            raise InputError("outcome denominators too heterogeneous to clear")
-    entries = tuple(
-        (a, Outcome(menu.space, float(f * k)))
-        for (a, _), f in zip(menu.entries, fractions)
-    )
-    return Menu(menu.space, entries), k
-
-
-def _extreme_pair(menu: Menu):
-    """Highest- and lowest-outcome actions, or None for constant menus."""
-    best = max(menu.entries, key=lambda e: e[1].value)
-    worst = min(menu.entries, key=lambda e: e[1].value)
-    if best[1].value == worst[1].value:
-        return None
-    return best[0], worst[0]
-
-
-def _merge_with_witnesses(per_instance):
-    merged = axioms.merge_reports(per_instance)
-    witnesses = [r.witness for r in per_instance if r.witness is not None]
-    return merged, witnesses
-
-
 def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
+    """Per requested axiom, the corpus report merged by
+    ``axioms.merge_reports`` and the list of every per-instance witness."""
+    per_menu = {
+        "neutrality": lambda m, mid: axioms.neutrality_epsilon(rule, m, tol=tol, menu_id=mid),
+        "positivity": lambda m, mid: axioms.positivity_check(rule, m, menu_id=mid),
+        "continuity": lambda m, mid: axioms.continuity_probe(rule, m, menu_id=mid),
+        "identity": lambda m, mid: axioms.cross_menu_identity_epsilon(
+            rule, m, tol=tol, menu_id=mid
+        ),
+    }
     reports = {}
-    menus = [m for _, m in labeled_menus]
-    if "neutrality" in which:
-        reports["neutrality"] = _merge_with_witnesses(
-            [
-                axioms.neutrality_epsilon(rule, m, tol=tol, menu_id=mid)
-                for mid, m in labeled_menus
-            ]
-        )
-    if "positivity" in which:
-        reports["positivity"] = _merge_with_witnesses(
-            [
-                axioms.positivity_check(rule, m, menu_id=mid)
-                for mid, m in labeled_menus
-            ]
-        )
-    if "continuity" in which:
-        if labeled_menus[0][1].space.kind not in (SCALAR, VECTOR):
-            raise InputError("continuity probe unsupported for this space")
-        reports["continuity"] = _merge_with_witnesses(
-            [
-                axioms.continuity_probe(rule, m, menu_id=mid)
-                for mid, m in labeled_menus
-            ]
-        )
-    if "decomposability" in which:
-        sampled = sample_pairs(menus, pairs, seed)
-        reports["decomposability"] = _merge_with_witnesses(
-            [
+    for name in CHECKABLE_AXIOMS:
+        if name not in which:
+            continue
+        if name == "decomposability":
+            sampled = sample_pairs([m for _, m in labeled_menus], pairs, seed)
+            per_instance = [
                 axioms.decomposability_epsilon(rule, m1, m2, tol=tol)
                 for m1, m2 in sampled
             ]
-        )
-    if "identity" in which:
-        if labeled_menus[0][1].space.kind != SCALAR:
-            raise InputError("identity check requires scalar menus")
-        gaps = []
-        witnesses = []
-        checked = 0
-        for mid, m in labeled_menus:
-            pair = _extreme_pair(m)
-            if pair is None:
-                continue
-            scaled, k = _integer_scaled(m)
-            probe_rule = rule if k == 1 else OutcomeScaled(rule, 1.0 / k)
-            gap = axioms.cross_menu_identity_gap(probe_rule, scaled, *pair)
-            checked += 1
-            gaps.append(gap)
-            if gap > tol:
-                witnesses.append(
-                    {
-                        "menu_id": mid,
-                        "pair": [str(pair[0]), str(pair[1])],
-                        "k": k,
-                        "log_gap": None if math.isinf(gap) else gap,
-                    }
-                )
-        eps = max(gaps) if gaps else 0.0
-        merged = axioms.AxiomReport(
-            "cross_menu_identity",
-            eps <= tol,
-            eps,
-            witnesses[0] if witnesses else None,
-            checked,
-        )
-        reports["identity"] = (merged, witnesses)
+        else:
+            per_instance = [per_menu[name](m, mid) for mid, m in labeled_menus]
+        witnesses = [r.witness for r in per_instance if r.witness is not None]
+        reports[name] = (axioms.merge_reports(per_instance), witnesses)
     return reports
 
 
@@ -227,11 +139,16 @@ def _print_reports(reports, tol, as_json):
 def cmd_check(args) -> int:
     rule = _load_rule(args.rule)
     labeled = _load_menus(args)
-    which = (
-        list(CHECKABLE_AXIOMS[:4])
-        if args.axioms == "all"
-        else [a.strip() for a in args.axioms.split(",") if a.strip()]
-    )
+    if args.axioms == "all":
+        # the continuity probe is defined on scalar and vector menus only
+        kind = labeled[0][1].space.kind
+        which = [
+            a
+            for a in CHECKABLE_AXIOMS[:4]
+            if a != "continuity" or kind in axioms.CONTINUITY_KINDS
+        ]
+    else:
+        which = [a.strip() for a in args.axioms.split(",") if a.strip()]
     unknown = set(which) - set(CHECKABLE_AXIOMS)
     if unknown:
         raise InputError(f"unknown axioms: {sorted(unknown)}")
@@ -294,21 +211,11 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _parse_shock(text: str):
-    kind, _, param = text.partition(":")
-    value = float(param) if param else 1.0
-    if kind == "gaussian":
-        return GaussianShock(value)
-    if kind == "gumbel":
-        return GumbelShock(value)
-    raise InputError(f"unknown shock spec {text!r} (use gaussian:SIGMA or gumbel:BETA)")
-
-
 def cmd_demo_probit(args) -> int:
     """The decomposability counterexample: a random-utility rule with
     Gaussian shocks overweights the top action on the squared menu."""
-    shock = _parse_shock(args.shock)
-    rule = IARU(shock)
+    kind, _, param = args.shock.partition(":")
+    rule = rule_from_json({"type": "iaru", "shock": {"kind": kind, "param": param or 1.0}})
     unit = unit_binary_menu()
     square = product(unit, unit)
     p_top = rule.choose(unit)["b1"]

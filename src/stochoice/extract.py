@@ -11,9 +11,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix, hstack, vstack
 
 from .axioms import effective_neutrality_epsilon
-from .menus import MENU_SIZE_GUARD, Menu, action_str, diagonal_action, power
+from .menus import (
+    MENU_SIZE_GUARD,
+    Menu,
+    action_str,
+    diagonal_action,
+    power,
+    unit_binary_menu,
+)
 from .rules import ChoiceDistribution, Rule
 from .spaces import (
     Outcome,
@@ -32,11 +40,6 @@ RECONSTRUCTION_TOL = 1e-10
 class NotPositiveError(ValueError):
     def __init__(self) -> None:
         super().__init__("rule not positive at probe")
-
-
-def unit_binary_menu() -> Menu:
-    space = Space.scalar()
-    return Menu(space, (("b0", Outcome(space, 0.0)), ("b1", Outcome(space, 1.0))))
 
 
 def extract_beta(rule: Rule) -> float:
@@ -190,43 +193,54 @@ def certify_closeness(
 
 def fit_beta_min_delta(rule: Rule, corpus: Sequence[Menu]) -> float:
     """The scalar logit parameter minimizing the certificate delta over
-    the corpus (Chebyshev fit of the log probabilities).
+    the corpus: the exact Chebyshev fit of the log probabilities.
 
-    The per-menu residual spread is convex piecewise-linear in beta, so
-    ternary search finds the minimizer within a bracket of +/-5 around
-    the binary-probe estimate (ample for near-logit rules; for rules far
-    from logit the result is still a valid, if not globally optimal,
-    certificate parameter).  Unlike the single-probe extraction, this
-    estimate is not biased by the probe menu's shocks.
+    One linear program over (beta, an offset mu_m per menu, t) minimizes
+    t subject to |ln p(a) - beta o(a) - mu_m| <= t.  Within a menu only
+    the largest and the smallest ln p at each distinct outcome can bind,
+    so each distinct outcome gives one row per side.  Unlike the
+    single-probe extraction, this estimate is not biased by the probe
+    menu's shocks.
     """
-    data = []
+    # imported here: scipy.optimize is slow and large to import, and only
+    # certify needs it
+    from scipy.optimize import linprog
+
+    if not corpus:
+        raise ValueError("empty corpus")
+    values, tops, bottoms = [], [], []
     for menu in corpus:
         dist = rule.choose(menu)
         probs = np.array([dist[a] for a in menu.actions])
         if np.any(probs <= 0.0):
             raise ValueError("non-positive probability in corpus")
-        outcomes = np.array([o.value for _, o in menu.entries])
-        data.append((np.log(probs), outcomes))
-
-    def delta_at(beta: float) -> float:
-        worst = 0.0
-        for lp, o in data:
-            r = lp - beta * o
-            worst = max(worst, float(r.max() - r.min()) / 2.0)
-        return worst
-
-    center = extract_beta(rule)
-    if math.isinf(center):
-        raise NotPositiveError()
-    lo, hi = center - 5.0, center + 5.0
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if delta_at(m1) <= delta_at(m2):
-            hi = m2
-        else:
-            lo = m1
-    return (lo + hi) / 2.0
+        distinct, group = np.unique(
+            [o.value for _, o in menu.entries], return_inverse=True
+        )
+        top = np.full(len(distinct), -np.inf)
+        bottom = np.full(len(distinct), np.inf)
+        np.maximum.at(top, group, np.log(probs))
+        np.minimum.at(bottom, group, np.log(probs))
+        values.append(distinct)
+        tops.append(top)
+        bottoms.append(bottom)
+    # one row pair per (menu m, distinct outcome v) over the columns
+    # (beta, mu_1 .. mu_M, t): ln p_top - beta v - mu_m <= t and
+    # beta v + mu_m - ln p_bottom <= t
+    v = np.concatenate(values)
+    menu_of_row = np.repeat(np.arange(len(corpus)), [len(x) for x in values])
+    fitted = hstack(
+        [v[:, None], csr_matrix((np.ones(len(v)), (np.arange(len(v)), menu_of_row)))]
+    )
+    t = np.ones((len(v), 1))
+    a_ub = vstack([hstack([-fitted, -t]), hstack([fitted, -t])])
+    rhs = np.concatenate(tops + bottoms) * np.repeat([-1.0, 1.0], len(v))
+    cost = np.zeros(a_ub.shape[1])
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=rhs, bounds=(None, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"min-delta fit failed: {res.message}")
+    return float(res.x[0])
 
 
 @dataclass(frozen=True)

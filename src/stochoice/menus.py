@@ -18,7 +18,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .spaces import (
-    PRIZE_STREAM,
     Outcome,
     Space,
     SpaceMismatchError,
@@ -137,6 +136,11 @@ def scalar_menu(assignments: dict) -> Menu:
     return menu_of(Space.scalar(), assignments)
 
 
+def unit_binary_menu() -> Menu:
+    """The probe menu {b0: 0, b1: 1}."""
+    return scalar_menu({"b0": 0.0, "b1": 1.0})
+
+
 def _trusted_menu(space: Space, entries: tuple) -> Menu:
     # bypass __post_init__ for entries whose invariants hold by
     # construction; re-validating 10^6-action power menus dominates their
@@ -178,14 +182,11 @@ def diagonal_action(a: ActionId, n: int) -> ActionId:
     return reduce(lambda acc, _: (acc, a), range(n - 1), a)
 
 
-def default_equivalence_tol(space: Space) -> float:
-    # discrete structures admit exact comparison; composed real outcomes
-    # accumulate floating error
-    return 0.0 if space.kind == PRIZE_STREAM else 1e-9
-
-
 def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
     """A bijection of actions matching outcomes within tol, or None.
+
+    Outcomes compare by ``outcomes_equal``, so tol defaults to its 1e-9
+    and prize streams compare exactly.
 
     A maximum bipartite matching over the pairs of equal outcomes, so
     it is found whenever one exists, even where equality within tol is
@@ -193,8 +194,6 @@ def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
     """
     if m1.space != m2.space or len(m1) != len(m2):
         return None
-    if tol is None:
-        tol = default_equivalence_tol(m1.space)
     compatible = csr_matrix(
         np.array(
             [[outcomes_equal(oa, ob, tol) for _, ob in m2.entries] for _, oa in m1.entries]

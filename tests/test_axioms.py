@@ -22,6 +22,7 @@ from stochoice import (
 )
 from stochoice.axioms import (
     continuity_probe,
+    cross_menu_identity_epsilon,
     cross_menu_identity_gap,
     decomposability_epsilon,
     merge_reports,
@@ -250,6 +251,19 @@ class TestCrossMenuIdentity:
         gap = cross_menu_identity_gap(probit_rule(), menu, "b", "a")
         assert gap > 1e-3
         assert not cross_menu_identity_gap(probit_rule(), menu, "b", "a") <= 1e-3
+
+    def test_report_clears_denominators(self):
+        menu = scalar_menu({"a": 0.5, "b": 1.25})
+        report = cross_menu_identity_epsilon(probit_rule(), menu, menu_id="q")
+        assert not report.satisfied_at_tol
+        assert report.instances_checked == 1
+        assert report.witness["k"] == 4
+        assert report.witness["pair"] == ["b", "a"]
+        assert cross_menu_identity_epsilon(MNL(1.0), menu).satisfied_at_tol
+
+    def test_report_skips_constant_menu(self):
+        report = cross_menu_identity_epsilon(MNL(1.0), scalar_menu({"a": 2.0, "b": 2.0}))
+        assert report.satisfied_at_tol and report.instances_checked == 0
 
     def test_requires_integer_outcomes(self):
         menu = scalar_menu({"a": 0.5, "b": 2.0})

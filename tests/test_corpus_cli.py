@@ -124,6 +124,22 @@ class TestCheckCommand:
             "continuity",
         }
 
+    @pytest.mark.parametrize(
+        "space",
+        [{"kind": "discrete_distribution", "moment_order": 2}, {"kind": "mean_stddev"}],
+        ids=lambda s: s["kind"],
+    )
+    def test_default_axioms_skip_continuity_off_its_spaces(self, tmp_path, space, capsys):
+        spec = write(tmp_path / "spec.json", {"space": space, "menu_count": 4, "seed": 5})
+        rule = write(tmp_path / "uniform.json", {"type": "uniform"})
+        assert main(["check", "--rule", rule, "--corpus", spec, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["axiom"] for r in payload["reports"]] == [
+            "neutrality",
+            "positivity",
+            "decomposability",
+        ]
+
     def test_probit_fails_decomposability(self, tmp_path, capsys):
         rule = write(
             tmp_path / "probit.json",
@@ -416,12 +432,17 @@ class TestExitCodes:
             "space": {"kind": "real_scalar"},
             "actions": [{"id": "b0", "outcome": 0}, {"id": "b1", "outcome": 1}],
         }
+        lottery = {
+            "space": {"kind": "discrete_distribution", "moment_order": 2},
+            "menu_count": 3,
+        }
         probit = {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}
         return {
             "uniform": write(tmp_path / "uniform.json", {"type": "uniform"}),
             "mnl": write(tmp_path / "mnl.json", {"type": "mnl", "beta": 1.0}),
             "probit": write(tmp_path / "probit.json", probit),
             "narrow": write(tmp_path / "narrow.json", narrow),
+            "lottery": write(tmp_path / "lottery.json", lottery),
             "wide": write(tmp_path / "wide.json", wide),
             "unit": write(tmp_path / "unit.json", unit),
             "out": str(tmp_path / "out"),
@@ -431,6 +452,9 @@ class TestExitCodes:
         "check_sampler_too_narrow": ["check", "--rule", "uniform", "--corpus", "narrow"],
         "certify_sampler_too_narrow": ["certify", "--rule", "uniform", "--corpus", "narrow"],
         "gen_sampler_too_narrow": ["gen", "--spec", "narrow", "--out", "out"],
+        "check_continuity_on_lotteries": [
+            "check", "--rule", "uniform", "--corpus", "lottery", "--axioms", "continuity",
+        ],
         "check_product_over_size_guard": [
             "check", "--rule", "mnl", "--menus", "wide",
             "--axioms", "decomposability", "--pairs", "1",

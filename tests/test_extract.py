@@ -11,6 +11,7 @@ from stochoice import (
     Outcome,
     Perturbed,
     Space,
+    Tabular,
     Uniform,
     Utility,
     certify_closeness,
@@ -330,3 +331,44 @@ class TestFitBetaMinDelta:
     def test_requires_positive_rule(self):
         with pytest.raises(ValueError, match="non-positive"):
             fit_beta_min_delta(MNL(math.inf), [UNIT])
+
+    def test_finds_beta_far_from_the_unit_probe(self):
+        # the unit probe reads beta = 0, the corpus is exact logit at 8
+        rule = Tabular.from_entries([(UNIT, {"b0": 0.5, "b1": 0.5})], MNL(8.0))
+        corpus = [scalar_menu({"a": 0.0, "b": 2.0})]
+        beta = fit_beta_min_delta(rule, corpus)
+        assert beta == pytest.approx(8.0, abs=1e-9)
+        assert certify_closeness(rule, corpus, Utility.scalar_beta(beta)).delta <= 1e-9
+
+    def test_matches_one_row_pair_per_action(self):
+        corpus = [
+            UNIT,
+            power(UNIT, 6),
+            power(scalar_menu({"x": 0.0, "y": 1.0, "z": 3.0}), 3),
+        ]
+        rule = Perturbed(MNL(1.5), 0.05, 3)
+        assert fit_beta_min_delta(rule, corpus) == pytest.approx(
+            _per_action_chebyshev_beta(rule, corpus), abs=1e-9
+        )
+
+
+def _per_action_chebyshev_beta(rule, corpus):
+    """Reference fit: a dense LP over (beta, mu_m per menu, t) with the
+    rows |ln p(a) - beta o(a) - mu_m| <= t for every action."""
+    from scipy.optimize import linprog
+
+    width = len(corpus) + 2
+    rows, rhs = [], []
+    for m, menu in enumerate(corpus):
+        dist = rule.choose(menu)
+        for a, o in menu.entries:
+            for side in (-1.0, 1.0):
+                row = np.zeros(width)
+                row[0], row[m + 1], row[-1] = side * o.value, side, -1.0
+                rows.append(row)
+                rhs.append(side * math.log(dist[a]))
+    cost = np.zeros(width)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.array(rows), b_ub=rhs, bounds=(None, None), method="highs")
+    assert res.success
+    return res.x[0]
