@@ -51,7 +51,6 @@ from .rules import (
     GaussianShock,
     GeneralMNL,
     GumbelShock,
-    OutcomeScaled,
     Perturbed,
     QuadratureError,
     Rule,

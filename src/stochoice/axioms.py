@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .menus import (
     MENU_SIZE_GUARD,
@@ -22,10 +23,18 @@ from .menus import (
     equivalent,
     power,
     product,
+    scalar_menu,
     unit_binary_menu,
 )
-from .rules import OutcomeScaled, Rule
-from .spaces import SCALAR, VECTOR, Outcome, SpaceMismatchError, outcomes_equal
+from .rules import Rule
+from .spaces import (
+    SCALAR,
+    VECTOR,
+    Outcome,
+    SpaceMismatchError,
+    equal_outcome_blocks,
+    outcomes_equal,
+)
 
 NEUTRALITY = "neutrality"
 DECOMPOSABILITY = "decomposability"
@@ -76,6 +85,25 @@ def _report(axiom, tol, eps, witness, instances=1) -> AxiomReport:
     return AxiomReport(axiom, ok, eps, None if ok else witness, instances)
 
 
+def _ratio_witness(menu_id, a: ActionId, b: ActionId, r: float) -> dict:
+    return {
+        "menu_id": menu_id,
+        "pair": [action_str(a), action_str(b)],
+        "ratio_excess": None if math.isinf(r) else r,
+    }
+
+
+def _worst_ratio(rows, menu_id) -> tuple[float, dict | None]:
+    """The largest ratio_excess(p, q) over rows (a, b, p, q) and a
+    witness naming the first pair (a, b) that reaches it."""
+    eps, witness = 0.0, None
+    for a, b, p, q in rows:
+        r = ratio_excess(p, q)
+        if r > eps:
+            eps, witness = r, _ratio_witness(menu_id, a, b, r)
+    return eps, witness
+
+
 def neutrality_epsilon(
     rule: Rule,
     menu: Menu,
@@ -85,26 +113,26 @@ def neutrality_epsilon(
 ) -> AxiomReport:
     """Worst probability ratio among equal-outcome action pairs.
 
-    Equal outcomes are detected per space (exact for prize streams,
-    componentwise tolerance otherwise).  min_epsilon 0 means the exact
-    neutrality axiom holds on this menu.
+    Equal outcomes are those ``outcomes_equal`` accepts at outcome_tol
+    (exact for prize streams).  Only pairs inside one of
+    ``equal_outcome_blocks`` can be equal; every pair of an all-equal
+    block is, and in any other block each pair is tested.  The witness
+    is the first worst pair in entry order.  min_epsilon 0 means the
+    exact neutrality axiom holds on this menu.
     """
     dist = rule.choose(menu)
-    eps = 0.0
-    witness = None
     entries = menu.entries
-    for i, (a, oa) in enumerate(entries):
-        for b, ob in entries[i + 1 :]:
-            if not outcomes_equal(oa, ob, outcome_tol):
-                continue
-            r = ratio_excess(dist[a], dist[b])
-            if r > eps:
-                eps = r
-                witness = {
-                    "menu_id": menu_id,
-                    "pair": [action_str(a), action_str(b)],
-                    "ratio_excess": None if math.isinf(r) else r,
-                }
+    p = [dist[a] for a, _ in entries]
+    eps, first = 0.0, None
+    for idx, all_equal in equal_outcome_blocks([o for _, o in entries], outcome_tol):
+        for i, j in combinations(idx, 2):
+            if all_equal or outcomes_equal(entries[i][1], entries[j][1], outcome_tol):
+                r = ratio_excess(p[i], p[j])
+                if r > eps or (r == eps and first is not None and (i, j) < first):
+                    eps, first = r, (i, j)
+    witness = None
+    if first is not None:
+        witness = _ratio_witness(menu_id, entries[first[0]][0], entries[first[1]][0], eps)
     return _report(NEUTRALITY, tol, eps, witness)
 
 
@@ -124,19 +152,10 @@ def decomposability_epsilon(
     d1 = rule.choose(m1)
     d2 = rule.choose(m2)
     joint = rule.choose(product(m1, m2))
-    eps = 0.0
-    witness = None
-    for a1 in m1.actions:
-        for a2 in m2.actions:
-            r = ratio_excess(joint[(a1, a2)], d1[a1] * d2[a2])
-            if r > eps:
-                eps = r
-                witness = {
-                    "menu_id": menu_id,
-                    "pair": [action_str(a1), action_str(a2)],
-                    "ratio_excess": None if math.isinf(r) else r,
-                }
-    return _report(DECOMPOSABILITY, tol, eps, witness)
+    rows = (
+        (a1, a2, joint[(a1, a2)], d1[a1] * d2[a2]) for a1 in m1.actions for a2 in m2.actions
+    )
+    return _report(DECOMPOSABILITY, tol, *_worst_ratio(rows, menu_id))
 
 
 def positivity_check(
@@ -228,17 +247,8 @@ def strong_neutrality_epsilon(
         raise ValueError("menus are not equivalent up to relabeling")
     d1 = rule.choose(m1)
     d2 = rule.choose(m2)
-    eps = 0.0
-    worst = None
-    for a, b in bijection.items():
-        r = ratio_excess(d1[a], d2[b])
-        if r > eps:
-            eps = r
-            worst = {
-                "menu_id": menu_id,
-                "pair": [action_str(a), action_str(b)],
-                "ratio_excess": None if math.isinf(r) else r,
-            }
+    rows = ((a, b, d1[a], d2[b]) for a, b in bijection.items())
+    eps, worst = _worst_ratio(rows, menu_id)
     limit = tol
     if eps_neut is not None and eps_decomp is not None:
         bound = strong_neutrality_bound(eps_neut, eps_decomp)
@@ -270,7 +280,15 @@ def cross_menu_identity_gap(
     n = round(oa) - round(oa2)
     if n <= 0:
         raise ValueError("requires o(a) > o(a2)")
-    binary = rule.choose(unit_binary_menu())
+    return _identity_gap(rule, menu, a, a2, n, unit_binary_menu())
+
+
+def _identity_gap(
+    rule: Rule, menu: Menu, a: ActionId, a2: ActionId, n: int, probe: Menu
+) -> float:
+    """|ln p(a) + n ln p0 - ln p(a2) - n ln p1| with (p0, p1) the rule's
+    distribution on the binary probe menu {b0, b1}."""
+    binary = rule.choose(probe)
     p0, p1 = binary["b0"], binary["b1"]
     dist = rule.choose(menu)
     pa, pa2 = dist[a], dist[a2]
@@ -291,11 +309,12 @@ def cross_menu_identity_epsilon(
     """The cross-menu identity gap between the menu's highest- and
     lowest-outcome actions.
 
-    Rational outcomes are first cleared of denominators: the menu is
-    scaled by the lcm k of the outcome denominators and the rule is
-    probed as OutcomeScaled(rule, 1/k), which sees the original
-    outcomes.  The witness records k.  A constant menu has no such pair
-    and checks no instance.
+    Each outcome must be rational: the float of its nearest fraction
+    with denominator at most 10^6 must be the outcome itself.  With k
+    the lcm of those denominators, the identity is checked on the menu
+    as given against the probe {b0: 0, b1: 1/k}, with the integer
+    n = k * (o(a) - o(a2)).  The witness records k.  A constant menu has
+    no such pair and checks no instance.
     """
     if menu.space.kind != SCALAR:
         raise ValueError("identity check requires scalar menus")
@@ -303,26 +322,18 @@ def cross_menu_identity_epsilon(
     worst = min(menu.entries, key=lambda e: e[1].value)
     if best[1].value == worst[1].value:
         return AxiomReport(CROSS_MENU_IDENTITY, True, 0.0, None, 0)
-    fractions = []
-    for _, o in menu.entries:
-        f = Fraction(o.value).limit_denominator(10**6)
-        if abs(o.value - float(f)) > 1e-9:
-            raise ValueError("identity check requires integer or rational outcomes")
-        fractions.append(f)
+    fractions = {}
     k = 1
-    for f in fractions:
+    for a, o in menu.entries:
+        f = fractions[a] = Fraction(o.value).limit_denominator(10**6)
+        if float(f) != o.value:
+            raise ValueError("identity check requires integer or rational outcomes")
         k = k * f.denominator // math.gcd(k, f.denominator)
         if k > 10**9:
             raise ValueError("outcome denominators too heterogeneous to clear")
-    scaled = Menu(
-        menu.space,
-        tuple(
-            (a, Outcome(menu.space, float(f * k)))
-            for (a, _), f in zip(menu.entries, fractions)
-        ),
-    )
-    probe = rule if k == 1 else OutcomeScaled(rule, 1.0 / k)
-    gap = cross_menu_identity_gap(probe, scaled, best[0], worst[0])
+    n = int((fractions[best[0]] - fractions[worst[0]]) * k)
+    probe = scalar_menu({"b0": 0.0, "b1": 1.0 / k})
+    gap = _identity_gap(rule, menu, best[0], worst[0], n, probe)
     witness = {
         "menu_id": menu_id,
         "pair": [action_str(best[0]), action_str(worst[0])],

@@ -22,6 +22,7 @@ from .spaces import (
     Space,
     SpaceMismatchError,
     compose,
+    equal_outcome_blocks,
     outcome_from_json,
     outcome_to_json,
     outcomes_equal,
@@ -188,21 +189,32 @@ def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
     Outcomes compare by ``outcomes_equal``, so tol defaults to its 1e-9
     and prize streams compare exactly.
 
-    A maximum bipartite matching over the pairs of equal outcomes, so
-    it is found whenever one exists, even where equality within tol is
-    not transitive.
+    Both menus' outcomes are split by ``equal_outcome_blocks``.  An
+    all-equal block pairs its actions in entry order; any other block is
+    matched by a maximum bipartite matching over its own equal pairs, so
+    a bijection is found whenever one exists, even where equality within
+    tol is not transitive.
     """
     if m1.space != m2.space or len(m1) != len(m2):
         return None
-    compatible = csr_matrix(
-        np.array(
-            [[outcomes_equal(oa, ob, tol) for _, ob in m2.entries] for _, oa in m1.entries]
-        )
-    )
-    match = maximum_bipartite_matching(compatible, perm_type="column")
-    if np.any(match < 0):
-        return None
-    return {a: m2.entries[j][0] for (a, _), j in zip(m1.entries, match)}
+    n = len(m1)
+    outcomes = [o for _, o in m1.entries + m2.entries]
+    matched = {}
+    for idx, all_equal in equal_outcome_blocks(outcomes, tol):
+        left = [i for i in idx if i < n]
+        right = [j for j in idx if j >= n]
+        if len(left) != len(right):
+            return None
+        if not all_equal:
+            compatible = csr_matrix(
+                [[outcomes_equal(outcomes[i], outcomes[j], tol) for j in right] for i in left]
+            )
+            cols = maximum_bipartite_matching(compatible, perm_type="column")
+            if np.any(cols < 0):
+                return None
+            right = [right[c] for c in cols]
+        matched.update(zip(left, right))
+    return {a: m2.entries[matched[i] - n][0] for i, (a, _) in enumerate(m1.entries)}
 
 
 def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:

@@ -20,13 +20,7 @@ from scipy.special import log_ndtr
 
 from .menus import ActionId, Menu, action_str, canonical_key, menu_hash
 from .quadrature import adaptive_simpson
-from .spaces import (
-    SCALAR,
-    Outcome,
-    SpaceMismatchError,
-    Utility,
-    evaluate,
-)
+from .spaces import SCALAR, SpaceMismatchError, Utility, evaluate, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
@@ -44,8 +38,8 @@ class ChoiceDistribution:
     probs: Mapping[ActionId, float]
 
     def __post_init__(self) -> None:
-        if any(p < 0 for p in self.probs.values()):
-            raise ValueError("negative choice probability")
+        if any(not p >= 0 for p in self.probs.values()):
+            raise ValueError("negative or NaN choice probability")
         total = math.fsum(self.probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"choice probabilities sum to {total!r}, not 1")
@@ -177,27 +171,6 @@ class GumbelShock:
 ShockSpec = GaussianShock | GumbelShock
 
 
-def _group_values(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct outcome values with counts, grouping within 1e-12 relative.
-
-    Equal-outcome actions share one integral, which keeps IARU exactly
-    neutral and makes large power menus tractable.
-    """
-    order = np.argsort(vals, kind="stable")
-    reps: list[float] = []
-    counts: list[int] = []
-    group_of = np.empty(len(vals), dtype=int)
-    for idx in order:
-        v = float(vals[idx])
-        if reps and abs(v - reps[-1]) <= 1e-12 * max(1.0, abs(v), abs(reps[-1])):
-            counts[-1] += 1
-        else:
-            reps.append(v)
-            counts.append(1)
-        group_of[idx] = len(reps) - 1
-    return np.array(reps), np.array(counts), group_of
-
-
 @dataclass(frozen=True)
 class IARU(Rule):
     """Independent additive random utility rule on scalar outcomes.
@@ -212,7 +185,12 @@ class IARU(Rule):
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         vals = _scalar_values(menu)
-        reps, counts, group_of = _group_values(vals)
+        # equal-outcome actions share one integral, which keeps IARU
+        # exactly neutral and makes large power menus tractable
+        group_of = sort_and_cut(vals.tolist(), 1e-12 * max(1.0, float(np.abs(vals).max())))
+        counts = np.bincount(group_of)
+        reps = np.full(len(counts), np.inf)
+        np.minimum.at(reps, group_of, vals)
         lo, hi = self.shock.window()
         group_p = np.empty(len(reps))
         for g, v in enumerate(reps):
@@ -322,29 +300,6 @@ class Perturbed(Rule):
         }
         total = math.fsum(weighted.values())
         return ChoiceDistribution({a: w / total for a, w in weighted.items()})
-
-
-@dataclass(frozen=True)
-class OutcomeScaled(Rule):
-    """Adapter multiplying scalar outcomes by a factor before delegating.
-
-    With factor 1/k this realizes the denominator-clearing rule family
-    used to reduce rational-outcome menus to integer ones.
-    """
-
-    base: Rule
-    factor: float
-
-    def choose(self, menu: Menu) -> ChoiceDistribution:
-        scaled = Menu(
-            menu.space,
-            tuple(
-                (a, Outcome(menu.space, o.value * self.factor))
-                for a, o in menu.entries
-            ),
-        )
-        dist = self.base.choose(scaled)
-        return ChoiceDistribution({a: dist[a] for a in menu.actions})
 
 
 def rule_to_json(rule: Rule) -> dict:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from itertools import chain
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -174,10 +175,17 @@ class Outcome:
             rows = tuple(tuple(float(t) for t in row) for row in v)
             if len(rows) != d or any(len(r) != d for r in rows):
                 raise ValueError("matrix outcome has wrong shape")
-            sign, _ = np.linalg.slogdet(np.array(rows))
-            if sign == 0.0:
+            # non-finite entries are rejected below, before slogdet sees them
+            if np.isfinite(rows).all() and np.linalg.slogdet(rows)[0] == 0.0:
                 raise ValueError("matrix outcome must be invertible")
             object.__setattr__(self, "value", rows)
+        # scalars, the bulk of every power menu, skip the flattening
+        if kind == SCALAR:
+            finite = math.isfinite(self.value)
+        else:
+            finite = all(map(math.isfinite, _flat(self)))
+        if not finite:
+            raise ValueError("outcome components must be finite")
 
 
 def scalar(x: float) -> Outcome:
@@ -496,29 +504,80 @@ def cumulants(x: Outcome, n: int) -> tuple[float, ...]:
     return tuple(kappas)
 
 
+def _flat(x: Outcome) -> tuple[float, ...]:
+    """The compared payload as one flat tuple: distribution pairs and
+    matrix rows concatenated, a prize stream as its length followed by
+    the alphabet position of each label."""
+    kind = x.space.kind
+    if kind == SCALAR:
+        return (x.value,)
+    if kind in (VECTOR, MEAN_STDDEV):
+        return x.value
+    if kind == PRIZE_STREAM:
+        index = x.space.alphabet.index
+        return (float(len(x.value)), *(float(index(p)) for p in x.value))
+    return tuple(chain.from_iterable(x.value))
+
+
+def _equality_tol(space: Space, tol: float | None) -> float:
+    if space.kind == PRIZE_STREAM:
+        return 0.0
+    return EQUALITY_TOL if tol is None else tol
+
+
 def outcomes_equal(x: Outcome, y: Outcome, tol: float | None = None) -> bool:
-    """Per-component equality at tolerance; prize streams compare exactly."""
+    """Componentwise |a - b| <= tol over the flattened payloads, which
+    must have the same length; prize streams compare exactly."""
     if x.space != y.space:
         return False
-    kind = x.space.kind
-    if kind == PRIZE_STREAM:
-        return x.value == y.value
-    if tol is None:
-        tol = EQUALITY_TOL
-    if kind == SCALAR:
-        return abs(x.value - y.value) <= tol
-    if kind in (VECTOR, MEAN_STDDEV):
-        return all(abs(a - b) <= tol for a, b in zip(x.value, y.value))
-    if kind == DISTRIBUTION:
-        if len(x.value) != len(y.value):
-            return False
-        return all(
-            abs(p - q) <= tol and abs(wp - wq) <= tol
-            for (p, wp), (q, wq) in zip(x.value, y.value)
+    a, b = _flat(x), _flat(y)
+    t = _equality_tol(x.space, tol)
+    return len(a) == len(b) and all(abs(p - q) <= t for p, q in zip(a, b))
+
+
+def sort_and_cut(values: Sequence[float], tol: float) -> list[int]:
+    """Run label of each value: sort, and start a new run wherever the
+    sorted values step up by more than tol.  Labels count 0, 1, ... in
+    ascending order of value, so values within tol of each other always
+    share a run, and a run's values may span more than tol."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    labels = [0] * len(values)
+    run = 0
+    for i, j in zip(order, order[1:]):
+        if values[j] - values[i] > tol:
+            run += 1
+        labels[j] = run
+    return labels
+
+
+def equal_outcome_blocks(
+    outcomes: Sequence[Outcome], tol: float | None = None
+) -> list[tuple[list[int], bool]]:
+    """Blocks of outcome indices, each ascending, such that every pair of
+    equal outcomes (``outcomes_equal`` at tol) lies in one block.
+
+    Blocks are runs of ``sort_and_cut`` on the first flattened
+    coordinate.  A block is flagged all-equal when its payloads have one
+    length and every coordinate spreads by at most tol; then every pair
+    in it is equal.  Otherwise only some of its pairs may be.
+    """
+    if not outcomes:
+        return []
+    t = _equality_tol(outcomes[0].space, tol)
+    flats = [_flat(x) for x in outcomes]
+    labels = sort_and_cut([f[0] for f in flats], t)
+    members: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for i, g in enumerate(labels):
+        members[g].append(i)
+    blocks = []
+    for idx in members:
+        rows = [flats[i] for i in idx]
+        all_equal = len(rows) == 1 or (
+            all(len(r) == len(rows[0]) for r in rows)
+            and all(max(c) - min(c) <= t for c in zip(*rows))
         )
-    return all(
-        abs(a - b) <= tol for ra, rb in zip(x.value, y.value) for a, b in zip(ra, rb)
-    )
+        blocks.append((idx, all_equal))
+    return blocks
 
 
 def outcome_to_json(x: Outcome):

@@ -261,6 +261,11 @@ class TestCrossMenuIdentity:
         assert report.witness["pair"] == ["b", "a"]
         assert cross_menu_identity_epsilon(MNL(1.0), menu).satisfied_at_tol
 
+    def test_report_rejects_irrational_outcomes(self):
+        # pi lies within 1.1e-12 of 3126535/995207 but is not that fraction
+        with pytest.raises(ValueError, match="rational"):
+            cross_menu_identity_epsilon(MNL(1.0), scalar_menu({"a": 0.0, "b": math.pi}))
+
     def test_report_skips_constant_menu(self):
         report = cross_menu_identity_epsilon(MNL(1.0), scalar_menu({"a": 2.0, "b": 2.0}))
         assert report.satisfied_at_tol and report.instances_checked == 0

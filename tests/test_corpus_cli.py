@@ -437,6 +437,11 @@ class TestExitCodes:
             "menu_count": 3,
         }
         probit = {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}
+
+        def scalars(*values):
+            actions = [{"id": f"a{i}", "outcome": v} for i, v in enumerate(values)]
+            return {"space": {"kind": "real_scalar"}, "actions": actions}
+
         return {
             "uniform": write(tmp_path / "uniform.json", {"type": "uniform"}),
             "mnl": write(tmp_path / "mnl.json", {"type": "mnl", "beta": 1.0}),
@@ -445,6 +450,9 @@ class TestExitCodes:
             "lottery": write(tmp_path / "lottery.json", lottery),
             "wide": write(tmp_path / "wide.json", wide),
             "unit": write(tmp_path / "unit.json", unit),
+            "nan": write(tmp_path / "nan.json", scalars(0.0, math.nan)),
+            "infinite": write(tmp_path / "infinite.json", scalars(0.0, math.inf)),
+            "pi": write(tmp_path / "pi.json", scalars(0.0, math.pi)),
             "out": str(tmp_path / "out"),
         }
 
@@ -464,6 +472,11 @@ class TestExitCodes:
         ],
         "upsilon_power_over_size_guard": [
             "upsilon", "--rule", "mnl", "--menus", "unit", "--n-max", "21",
+        ],
+        "check_nan_outcome": ["check", "--rule", "mnl", "--menus", "nan"],
+        "check_infinite_outcome": ["check", "--rule", "mnl", "--menus", "infinite"],
+        "check_identity_on_irrational_outcome": [
+            "check", "--rule", "mnl", "--menus", "pi", "--axioms", "identity",
         ],
         "fit_unknown_space": ["fit", "--rule", "mnl", "--space", '{"kind": "simplex"}'],
         "fit_rule_on_wrong_space": [

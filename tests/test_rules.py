@@ -310,6 +310,10 @@ class TestChoiceDistribution:
         with pytest.raises(ValueError):
             ChoiceDistribution({"a": 0.6, "b": 0.6})
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ChoiceDistribution({"a": math.nan, "b": 1.0})
+
 
 class TestRuleJson:
     @pytest.mark.parametrize(

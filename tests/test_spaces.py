@@ -346,6 +346,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             Outcome(Space.matrix(2), ((1.0, 1.0), (1.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "space, payload",
+        [
+            (Space.scalar(), math.nan),
+            (Space.scalar(), -math.inf),
+            (Space.vector(2), (0.0, math.inf)),
+            (Space.mean_stddev(), (math.nan, 1.0)),
+            (Space.mean_stddev(), (0.0, math.inf)),
+            (Space.distribution(2), ((0.0, 0.5), (math.inf, 0.5))),
+            (Space.distribution(2), ((0.0, math.nan), (1.0, 1.0))),
+            (Space.matrix(2), ((1.0, 0.0), (0.0, math.inf))),
+            (Space.matrix(2), ((math.nan, 0.0), (0.0, 1.0))),
+        ],
+    )
+    def test_non_finite_components(self, space, payload):
+        with pytest.raises(ValueError):
+            Outcome(space, payload)
+
     def test_prizes_outside_alphabet(self):
         with pytest.raises(ValueError):
             Outcome(Space.prizes(("a",)), ("b",))
