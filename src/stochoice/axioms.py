@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .menus import (
     MENU_SIZE_GUARD,
@@ -115,25 +115,51 @@ def neutrality_epsilon(
 
     Equal outcomes are those ``outcomes_equal`` accepts at outcome_tol
     (exact for prize streams).  Only pairs inside one of
-    ``equal_outcome_blocks`` can be equal; every pair of an all-equal
-    block is, and in any other block each pair is tested.  The witness
-    is the first worst pair in entry order.  min_epsilon 0 means the
-    exact neutrality axiom holds on this menu.
+    ``equal_outcome_blocks`` can be equal.  Every pair of an all-equal
+    block is, and one sweep finds its worst; in any other block each pair
+    is tested.  The witness is the first worst pair in entry order.
+    min_epsilon 0 means the exact neutrality axiom holds on this menu.
     """
     dist = rule.choose(menu)
     entries = menu.entries
     p = [dist[a] for a, _ in entries]
     eps, first = 0.0, None
     for idx, all_equal in equal_outcome_blocks([o for _, o in entries], outcome_tol):
-        for i, j in combinations(idx, 2):
-            if all_equal or outcomes_equal(entries[i][1], entries[j][1], outcome_tol):
-                r = ratio_excess(p[i], p[j])
-                if r > eps or (r == eps and first is not None and (i, j) < first):
-                    eps, first = r, (i, j)
+        if all_equal:
+            candidates = _first_worst_pair(idx, p)
+        else:
+            candidates = (
+                (ratio_excess(p[i], p[j]), (i, j))
+                for i, j in combinations(idx, 2)
+                if outcomes_equal(entries[i][1], entries[j][1], outcome_tol)
+            )
+        for r, pair in candidates:
+            if r > eps or (r == eps and first is not None and pair < first):
+                eps, first = r, pair
     witness = None
     if first is not None:
         witness = _ratio_witness(menu_id, entries[first[0]][0], entries[first[1]][0], eps)
     return _report(NEUTRALITY, tol, eps, witness)
+
+
+def _first_worst_pair(idx: list[int], p: list[float]) -> list[tuple[float, tuple[int, int]]]:
+    """The largest nonzero ratio_excess over pairs i < j of the ascending
+    indices idx, with the first pair in entry order that reaches it.
+    Rounded division is monotone, so row i is worst against the smallest
+    or the largest p after it, found by one backward sweep."""
+    q = [p[i] for i in idx]
+    lows = list(accumulate(reversed(q), min))[::-1]
+    highs = list(accumulate(reversed(q), max))[::-1]
+    rows = [
+        max(ratio_excess(v, lo), ratio_excess(v, hi))
+        for v, lo, hi in zip(q, lows[1:], highs[1:])
+    ]
+    best = max(rows, default=0.0)
+    if best == 0.0:
+        return []
+    i = idx[rows.index(best)]
+    j = next(j for j in idx if j > i and ratio_excess(p[i], p[j]) == best)
+    return [(best, (i, j))]
 
 
 def decomposability_epsilon(
@@ -352,6 +378,8 @@ def power_diagonal_neutrality_epsilon(
     For a decomposable rule whose power menus stay approximately
     neutral with parameter eps, this is at most (1+eps)^(1/n) - 1.
     """
+    if len(menu) ** n > MENU_SIZE_GUARD:
+        raise ValueError(f"power menu would exceed {MENU_SIZE_GUARD} actions")
     dist = rule.choose(power(menu, n))
     pa = dist[diagonal_action(a, n)]
     pb = dist[diagonal_action(a2, n)]

@@ -18,15 +18,10 @@ from pathlib import Path
 
 from . import axioms
 from .corpus import CorpusSpec, generate_corpus, sample_pairs
-from .extract import (
-    certify_closeness,
-    fit_beta_min_delta,
-    fit_utility_representation,
-    upsilon,
-)
+from .extract import certify_closeness, fit_utility_representation, upsilon
 from .menus import Menu, product, unit_binary_menu
 from .rules import Rule, rule_from_json
-from .spaces import SCALAR, Space, Utility
+from .spaces import Space, Utility
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -190,17 +185,9 @@ def cmd_fit(args) -> int:
 def cmd_certify(args) -> int:
     rule = _load_rule(args.rule)
     labeled = _load_menus(args)
+    utility = None if args.utility == "auto" else Utility.from_json(_load_json(args.utility))
     ids = [mid for mid, _ in labeled]
     menus = [m for _, m in labeled]
-    space = menus[0].space
-    if args.utility == "auto":
-        if space.kind == SCALAR:
-            beta = fit_beta_min_delta(rule, menus)
-            utility = Utility.scalar_beta(beta)
-        else:
-            utility = fit_utility_representation(rule, space).utility
-    else:
-        utility = Utility.from_json(_load_json(args.utility))
     cert = certify_closeness(rule, menus, utility, menu_ids=ids)
     payload = json.dumps(cert.to_json(), indent=2, sort_keys=True)
     if args.out:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, hstack, vstack
 
 from .axioms import effective_neutrality_epsilon
 from .menus import (
@@ -26,9 +25,9 @@ from .rules import ChoiceDistribution, Rule
 from .spaces import (
     Outcome,
     Space,
+    SpaceMismatchError,
     Utility,
     basis_probes,
-    evaluate,
     features,
     identity,
 )
@@ -151,96 +150,121 @@ class ClosenessCertificate:
         }
 
 
-def certify_closeness(
-    rule: Rule,
-    corpus: Sequence[Menu],
-    u: Utility,
-    menu_ids: Sequence[str] | None = None,
-) -> ClosenessCertificate:
-    """Certify how close the rule is to logit with utility u.
-
-    Per menu, the residuals r(a) = ln p(a) - u(o(a)) are centered at the
-    midpoint of their range (which minimizes the sup norm), giving shocks
-    s(a) and a per-menu delta of half the residual spread.  The corpus
-    delta is the maximum.  The reconstruction invariant is re-verified
-    before returning.
-    """
-    if menu_ids is None:
-        menu_ids = [f"menu_{i:04d}" for i in range(len(corpus))]
-    if len(menu_ids) != len(corpus):
-        raise ValueError("menu_ids must match the corpus length")
-    delta = 0.0
-    shocks: list[tuple[str, dict]] = []
-    for mid, menu in zip(menu_ids, corpus):
+def _corpus_arrays(rule: Rule, corpus: Sequence[Menu], space: Space):
+    """One pass over a nonempty corpus, choosing from each menu once: the
+    probability, feature row and menu index of every action in order."""
+    probs, rows, menu_of = [], [], []
+    for m, menu in enumerate(corpus):
+        if menu.space != space:
+            raise SpaceMismatchError()
         dist = rule.choose(menu)
-        probs = np.array([dist[a] for a in menu.actions])
-        if np.any(probs <= 0.0):
+        p = [dist[a] for a in menu.actions]
+        if min(p) <= 0.0:
             raise ValueError("non-positive probability in corpus")
-        utilities = np.array([evaluate(u, o) for _, o in menu.entries])
-        residuals = np.log(probs) - utilities
-        mid_r = (residuals.max() + residuals.min()) / 2.0
-        s = residuals - mid_r
-        delta = max(delta, float((residuals.max() - residuals.min()) / 2.0))
-        weights = np.exp(utilities + s - (utilities + s).max())
-        rebuilt = weights / weights.sum()
-        if np.max(np.abs(rebuilt - probs)) > RECONSTRUCTION_TOL:
-            raise RuntimeError("certificate reconstruction check failed")
-        shocks.append(
-            (mid, {action_str(a): float(v) for a, v in zip(menu.actions, s)})
-        )
-    return ClosenessCertificate(u, delta, tuple(shocks), len(corpus))
+        probs += p
+        rows += [features(o) for _, o in menu.entries]
+        menu_of += [m] * len(p)
+    k = len(features(identity(space)))
+    return np.array(probs), np.array(rows).reshape(len(probs), k), np.array(menu_of)
 
 
-def fit_beta_min_delta(rule: Rule, corpus: Sequence[Menu]) -> float:
-    """The scalar logit parameter minimizing the certificate delta over
-    the corpus: the exact Chebyshev fit of the log probabilities.
+def _extremes(r: np.ndarray, menu_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each menu's largest and of its smallest residual."""
+    order = np.lexsort((r, menu_of))
+    last = np.flatnonzero(np.diff(menu_of, append=-1))
+    return order[last], order[np.append(0, last[:-1] + 1)]
 
-    One linear program over (beta, an offset mu_m per menu, t) minimizes
-    t subject to |ln p(a) - beta o(a) - mu_m| <= t.  Within a menu only
-    the largest and the smallest ln p at each distinct outcome can bind,
-    so each distinct outcome gives one row per side.  Unlike the
-    single-probe extraction, this estimate is not biased by the probe
-    menu's shocks.
+
+def _min_delta_coeffs(phi: np.ndarray, log_p: np.ndarray, menu_of: np.ndarray) -> np.ndarray:
+    """The coefficients c minimizing the largest per-menu half-spread of
+    r = ln p - phi c.  Menu offsets drop out: |r(a) - mu| <= t on a menu
+    exactly when |r(a) - r(b)| <= 2t for all its pairs a, b.
+
+    Cutting planes keep that pair program small: from c = 0, each round
+    adds each menu's pair of largest and smallest residual at c, in both
+    orientations, and re-solves over (c, t) with HiGHS.  The model's t
+    bounds the optimum from below, so the loop stops once the largest
+    half-spread at c is within 1e-12 of it (relative above 1), or when
+    no pair is new.
     """
     # imported here: scipy.optimize is slow and large to import, and only
     # certify needs it
     from scipy.optimize import linprog
 
+    n, k = phi.shape
+    c, t, known = np.zeros(k), -math.inf, np.empty(0, dtype=np.int64)
+    while True:
+        r = log_p - phi @ c
+        top, bottom = _extremes(r, menu_of)
+        if np.max(r[top] - r[bottom]) / 2.0 - t <= 1e-12 * max(t, 1.0):
+            return c
+        keys = np.minimum(top, bottom) * n + np.maximum(top, bottom)
+        new = np.setdiff1d(keys[top != bottom], known)
+        if not new.size:
+            return c
+        known = np.union1d(known, new)
+        i, j = np.divmod(known, n)
+        d, e, two = phi[i] - phi[j], log_p[i] - log_p[j], np.full((len(known), 1), -2.0)
+        # over (c, t): e - d.c <= 2t and d.c - e <= 2t
+        a_ub, b_ub = np.block([[-d, two], [d, two]]), np.concatenate([-e, e])
+        res = linprog(np.eye(k + 1)[k], a_ub, b_ub, bounds=(None, None), method="highs")
+        if not res.success:
+            raise RuntimeError(f"min-delta fit failed: {res.message}")
+        c, t = res.x[:k], res.x[k]
+
+
+def certify_closeness(
+    rule: Rule,
+    corpus: Sequence[Menu],
+    u: Utility | None = None,
+    menu_ids: Sequence[str] | None = None,
+) -> ClosenessCertificate:
+    """Certify how close the rule is to logit with utility u, by default
+    the utility ``coeffs . features`` of smallest delta on the corpus.
+
+    One pass chooses from each menu once.  Per menu, the residuals
+    r(a) = ln p(a) - u(o(a)) are centered at the midpoint of their range
+    (which minimizes the sup norm), giving shocks s(a) and a per-menu
+    delta of half the residual spread.  The corpus delta is the maximum.
+    The reconstruction invariant is re-verified before returning.
+    """
+    if menu_ids is None:
+        menu_ids = [f"menu_{i:04d}" for i in range(len(corpus))]
+    if len(menu_ids) != len(corpus):
+        raise ValueError("menu_ids must match the corpus length")
     if not corpus:
         raise ValueError("empty corpus")
-    values, tops, bottoms = [], [], []
-    for menu in corpus:
-        dist = rule.choose(menu)
-        probs = np.array([dist[a] for a in menu.actions])
-        if np.any(probs <= 0.0):
-            raise ValueError("non-positive probability in corpus")
-        distinct, group = np.unique(
-            [o.value for _, o in menu.entries], return_inverse=True
-        )
-        top = np.full(len(distinct), -np.inf)
-        bottom = np.full(len(distinct), np.inf)
-        np.maximum.at(top, group, np.log(probs))
-        np.minimum.at(bottom, group, np.log(probs))
-        values.append(distinct)
-        tops.append(top)
-        bottoms.append(bottom)
-    # one row pair per (menu m, distinct outcome v) over the columns
-    # (beta, mu_1 .. mu_M, t): ln p_top - beta v - mu_m <= t and
-    # beta v + mu_m - ln p_bottom <= t
-    v = np.concatenate(values)
-    menu_of_row = np.repeat(np.arange(len(corpus)), [len(x) for x in values])
-    fitted = hstack(
-        [v[:, None], csr_matrix((np.ones(len(v)), (np.arange(len(v)), menu_of_row)))]
+    space = corpus[0].space if u is None else u.space
+    probs, phi, menu_of = _corpus_arrays(rule, corpus, space)
+    log_p = np.log(probs)
+    if u is None:
+        u = Utility(space, _min_delta_coeffs(phi, log_p, menu_of))
+    utilities = phi @ np.array(u.coeffs)
+    r = log_p - utilities
+    top, bottom = _extremes(r, menu_of)
+    s = r - ((r[top] + r[bottom]) / 2.0)[menu_of]
+    first = np.flatnonzero(np.diff(menu_of, prepend=-1))
+    logits = utilities + s
+    weights = np.exp(logits - np.maximum.reduceat(logits, first)[menu_of])
+    rebuilt = weights / np.add.reduceat(weights, first)[menu_of]
+    if np.max(np.abs(rebuilt - probs)) > RECONSTRUCTION_TOL:
+        raise RuntimeError("certificate reconstruction check failed")
+    shocks = tuple(
+        (mid, {action_str(a): float(v) for a, v in zip(menu.actions, s[i:])})
+        for mid, menu, i in zip(menu_ids, corpus, first)
     )
-    t = np.ones((len(v), 1))
-    a_ub = vstack([hstack([-fitted, -t]), hstack([fitted, -t])])
-    rhs = np.concatenate(tops + bottoms) * np.repeat([-1.0, 1.0], len(v))
-    cost = np.zeros(a_ub.shape[1])
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=rhs, bounds=(None, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"min-delta fit failed: {res.message}")
-    return float(res.x[0])
+    delta = float(np.max(r[top] - r[bottom]) / 2.0)
+    return ClosenessCertificate(u, delta, shocks, len(corpus))
+
+
+def fit_beta_min_delta(rule: Rule, corpus: Sequence[Menu]) -> float:
+    """The scalar logit parameter minimizing the certificate delta over
+    the corpus: the scalar view of ``certify_closeness``'s exact fit,
+    which, unlike the single-probe extraction, no probe shock biases."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    probs, phi, menu_of = _corpus_arrays(rule, corpus, Space.scalar())
+    return float(_min_delta_coeffs(phi, np.log(probs), menu_of)[0])
 
 
 @dataclass(frozen=True)

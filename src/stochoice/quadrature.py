@@ -13,8 +13,13 @@ import numpy as np
 _SEED_PANELS = 32
 
 
+class QuadratureError(RuntimeError):
+    pass
+
+
 def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Integrate f over [lo, hi] to absolute tolerance tol."""
+    """Integrate f over [lo, hi] to absolute tolerance tol; raise
+    QuadratureError when panels are still unresolved at max_depth."""
     if not hi > lo:
         raise ValueError("empty integration interval")
     edges = np.linspace(lo, hi, _SEED_PANELS + 1)
@@ -29,8 +34,9 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int
     depth = 0
     while a.size:
         if depth >= max_depth:
-            total += float(np.sum(coarse))
-            break
+            raise QuadratureError(
+                f"adaptive Simpson left {a.size} panels unresolved at depth {max_depth}"
+            )
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm, frm = f(lm), f(rm)

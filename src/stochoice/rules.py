@@ -19,16 +19,12 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .menus import ActionId, Menu, action_str, canonical_key, menu_hash
-from .quadrature import adaptive_simpson
+from .quadrature import QuadratureError, adaptive_simpson
 from .spaces import SCALAR, SpaceMismatchError, Utility, evaluate, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
 ARGMAX_TIE_TOL = 1e-12
-
-
-class QuadratureError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,23 @@ class TestNeutrality:
         report = neutrality_epsilon(MNL(1.0), UNIT)
         assert report.min_epsilon == 0.0
 
+    def test_all_equal_blocks_are_linear_in_ratio_evaluations(self, monkeypatch):
+        import stochoice.axioms
+
+        calls = []
+
+        def counted(p, q):
+            calls.append(None)
+            return ratio_excess(p, q)
+
+        monkeypatch.setattr(stochoice.axioms, "ratio_excess", counted)
+        menu = power(UNIT, 10)
+        report = neutrality_epsilon(Perturbed(Uniform(), 0.05, 3), menu)
+        assert report.min_epsilon > 0.0
+        # every tie class of a power menu is all-equal; the largest holds
+        # C(10, 5) = 252 actions, whose pairs alone number 31,626
+        assert len(calls) <= 3 * len(menu)
+
 
 class TestDecomposability:
     @pytest.mark.parametrize("beta", [-2.0, 0.0, 1.3])
@@ -299,6 +316,18 @@ class TestPowerDiagonalMechanism:
     def test_decomposable_rule_measures_zero(self):
         menu = scalar_menu({"a": 1.0, "b": 1.0, "c": 0.0})
         assert power_diagonal_neutrality_epsilon(MNL(1.0), menu, "a", "b", 4) == 0.0
+
+    def test_size_guard_fires_before_building(self, monkeypatch):
+        import stochoice.axioms
+
+        def refuse(menu, n):
+            raise AssertionError("the power size is known before building it")
+
+        monkeypatch.setattr(stochoice.axioms, "power", refuse)
+        menu = scalar_menu({"a": 1.0, "b": 1.0, "c": 0.0})
+        # 3^13 = 1,594,323 actions
+        with pytest.raises(ValueError, match="exceed"):
+            power_diagonal_neutrality_epsilon(MNL(1.0), menu, "a", "b", 13)
 
 
 def _capped_distribution(pw, base, n):

@@ -356,6 +356,40 @@ class TestCertifyCommand:
         cert = json.loads(capsys.readouterr().out)
         assert cert["delta"] <= 1e-10
 
+    @pytest.mark.parametrize(
+        "utility",
+        [
+            {"space": {"kind": "real_scalar"}, "beta": 1.5},
+            {
+                "space": {"kind": "discrete_distribution", "moment_order": 3},
+                "gammas": [1.0, -0.5, 0.2],
+            },
+        ],
+        ids=lambda u: u["space"]["kind"],
+    )
+    def test_auto_chooses_once_per_menu(self, tmp_path, monkeypatch, utility, capsys):
+        import stochoice.rules
+
+        calls = []
+        choose = stochoice.rules.Perturbed.choose
+
+        def counted(self, menu):
+            calls.append(menu)
+            return choose(self, menu)
+
+        monkeypatch.setattr(stochoice.rules.Perturbed, "choose", counted)
+        base = {"type": "general_mnl", "utility": utility}
+        rule = write(
+            tmp_path / "r.json", {"type": "perturbed", "base": base, "delta": 0.05, "seed": 3}
+        )
+        spec = {"space": utility["space"], "menu_count": 30, "seed": 5}
+        corpus = write(tmp_path / "spec.json", spec)
+        argv = ["certify", "--rule", rule, "--corpus", corpus, "--utility", "auto"]
+        assert main(argv) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["delta"] <= 0.05 + 1e-9
+        assert calls == generate_corpus(CorpusSpec.from_json(spec))
+
 
 class TestDemoProbit:
     def test_paper_numbers(self, capsys):

@@ -6,7 +6,9 @@ import pytest
 
 from stochoice import (
     MNL,
+    CorpusSpec,
     GeneralMNL,
+    Menu,
     NotPositiveError,
     Outcome,
     Perturbed,
@@ -17,8 +19,10 @@ from stochoice import (
     certify_closeness,
     extract_beta,
     extract_utility,
+    features,
     fit_beta_min_delta,
     fit_utility_representation,
+    generate_corpus,
     identity,
     power,
     probit,
@@ -30,6 +34,7 @@ from stochoice import (
     upsilon,
 )
 from stochoice.axioms import decomposability_epsilon
+from stochoice.spaces import SpaceMismatchError
 
 UNIT = unit_binary_menu()
 
@@ -287,6 +292,73 @@ class TestCertify:
         assert set(data["menus"][0]["shocks"]) == {"b0", "b1"}
 
 
+class TestCertifyAutoUtility:
+    @pytest.mark.parametrize(
+        "space",
+        [
+            Space.scalar(),
+            Space.vector(2),
+            Space.mean_stddev(),
+            Space.distribution(3),
+            Space.prizes(("a", "b", "c")),
+            Space.matrix(2),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_delta_is_the_chebyshev_optimum(self, space):
+        k = len(features(identity(space)))
+        coeffs = np.linspace(1.0, -0.5, k)
+        rule = Perturbed(GeneralMNL(Utility(space, tuple(coeffs))), 0.05, 11)
+        corpus = generate_corpus(CorpusSpec(space, 40, 2, 5, seed=3))
+        cert = certify_closeness(rule, corpus)
+        assert cert.utility.space == space
+        assert cert.delta == pytest.approx(_per_action_chebyshev_delta(rule, corpus), abs=1e-9)
+        assert cert.delta <= 0.05 + 1e-9
+        again = certify_closeness(rule, corpus, cert.utility)
+        assert again.delta == cert.delta
+
+    def test_scalar_fit_is_fit_beta_min_delta(self):
+        corpus = [UNIT, power(UNIT, 6), scalar_menu({"x": -1.0, "y": 0.5, "z": 2.0})]
+        rule = Perturbed(MNL(1.5), 0.1, 4)
+        cert = certify_closeness(rule, corpus)
+        assert cert.utility.coeffs == (fit_beta_min_delta(rule, corpus),)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            certify_closeness(MNL(1.0), [])
+
+    def test_mixed_spaces_rejected(self):
+        vector = Space.vector(2)
+        corpus = [UNIT, Menu(vector, (("a", Outcome(vector, (0.0, 1.0))),))]
+        with pytest.raises(SpaceMismatchError):
+            certify_closeness(Uniform(), corpus)
+
+
+def _per_action_chebyshev_delta(rule, corpus):
+    """Reference fit over features: a dense LP over (c, mu_m per menu, t)
+    with the rows |ln p(a) - c . phi(o(a)) - mu_m| <= t for every action;
+    returns the optimal t."""
+    from scipy.optimize import linprog
+
+    k = len(features(identity(corpus[0].space)))
+    width = k + len(corpus) + 1
+    rows, rhs = [], []
+    for m, menu in enumerate(corpus):
+        dist = rule.choose(menu)
+        for a, o in menu.entries:
+            for side in (-1.0, 1.0):
+                row = np.zeros(width)
+                row[:k] = side * np.array(features(o))
+                row[k + m], row[-1] = side, -1.0
+                rows.append(row)
+                rhs.append(side * math.log(dist[a]))
+    cost = np.zeros(width)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.array(rows), b_ub=rhs, bounds=(None, None), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
 class TestUlamBound:
     def test_zero_case(self):
         bounds = ulam_bound(0.0, 0.0)
@@ -339,6 +411,12 @@ class TestFitBetaMinDelta:
         beta = fit_beta_min_delta(rule, corpus)
         assert beta == pytest.approx(8.0, abs=1e-9)
         assert certify_closeness(rule, corpus, Utility.scalar_beta(beta)).delta <= 1e-9
+
+    def test_non_scalar_corpus_rejected(self):
+        vector = Space.vector(2)
+        menu = Menu(vector, (("a", Outcome(vector, (0.0, 1.0))), ("b", Outcome(vector, (1.0, 0.0)))))
+        with pytest.raises(SpaceMismatchError):
+            fit_beta_min_delta(Uniform(), [menu])
 
     def test_matches_one_row_pair_per_action(self):
         corpus = [

@@ -15,6 +15,7 @@ from stochoice import (
     GumbelShock,
     Menu,
     Perturbed,
+    QuadratureError,
     Space,
     SpaceMismatchError,
     Tabular,
@@ -59,6 +60,19 @@ class TestQuadrature:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             adaptive_simpson(norm.pdf, 1.0, 1.0)
+
+    def test_depth_cap_raises(self):
+        # the coarse sum at the cap reads 0.70011 where the integral is 0.7
+        step = lambda x: (x < 0.7).astype(float)
+        with pytest.raises(QuadratureError, match="depth 6"):
+            adaptive_simpson(step, 0.0, 1.0, tol=1e-14, max_depth=6)
+
+    def test_one_quadrature_error(self):
+        import stochoice.quadrature
+        import stochoice.rules
+
+        assert QuadratureError is stochoice.quadrature.QuadratureError
+        assert QuadratureError is stochoice.rules.QuadratureError
 
 
 class TestMNL:
@@ -210,6 +224,13 @@ class TestIARU:
         p = probit().choose(SQUARE)[("b1", "b1")]
         assert p == pytest.approx(probit_square_oracle(), abs=1e-9)
         assert p == pytest.approx(0.617, abs=2e-3)
+
+    @pytest.mark.parametrize("gap", [0.5 * i for i in range(1, 25)])
+    def test_probit_binary_tail(self, gap):
+        # P(b0) = Phi(-gap / sqrt 2) falls to 1.0e-17 at gap 12; the
+        # contract is the quadrature's absolute tolerance
+        p = probit().choose(scalar_menu({"b0": 0.0, "b1": gap}))["b0"]
+        assert p == pytest.approx(float(norm.cdf(-gap / math.sqrt(2.0))), rel=0, abs=1e-10)
 
     def test_probit_violates_decomposability(self):
         p1 = probit().choose(UNIT)["b1"]
