@@ -70,6 +70,7 @@ from .axioms import (
     merge_reports,
     neutrality_epsilon,
     positivity_check,
+    power_diagonal_log,
     power_diagonal_neutrality_epsilon,
     strong_neutrality_bound,
     strong_neutrality_epsilon,

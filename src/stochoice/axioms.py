@@ -369,24 +369,49 @@ def cross_menu_identity_epsilon(
     return _report(CROSS_MENU_IDENTITY, tol, gap, witness)
 
 
+def power_diagonal_log(rule: Rule, menu: Menu, n: int) -> dict[ActionId, float]:
+    """ln P[a^n] on power(menu, n) for each base action a, -inf where
+    the probability is zero.
+
+    A rule that defines ``log_diagonal`` supplies these from the
+    multiset of outcomes, so the size guard counts its outcome groups,
+    C(n + k - 1, n) for a k-action menu, and no power menu is built.
+    Otherwise the guard counts the k^n actions before power(menu, n) is
+    built and chosen from.
+    """
+    if n < 1:
+        raise ValueError("menu power requires n >= 1")
+    log_diagonal = getattr(rule, "log_diagonal", None)
+    if log_diagonal is not None:
+        size, unit = math.comb(n + len(menu) - 1, n), "outcome groups"
+    else:
+        size, unit = len(menu) ** n, "actions"
+    if size > MENU_SIZE_GUARD:
+        raise ValueError(f"power menu would exceed {MENU_SIZE_GUARD} {unit}")
+    if log_diagonal is not None:
+        return log_diagonal(menu, n)
+    dist = rule.choose(power(menu, n))
+    probs = {a: dist[diagonal_action(a, n)] for a in menu.actions}
+    return {a: math.log(p) if p > 0.0 else -math.inf for a, p in probs.items()}
+
+
 def power_diagonal_neutrality_epsilon(
     rule: Rule, menu: Menu, a: ActionId, a2: ActionId, n: int
 ) -> float:
     """Per-coordinate neutrality epsilon implied by the n-fold power:
-    the diagonal probability ratio to the power 1/n, minus 1.
+    the diagonal probability ratio to the power 1/n, minus 1, with
+    ratio_excess's conventions for zero probabilities.
 
     For a decomposable rule whose power menus stay approximately
     neutral with parameter eps, this is at most (1+eps)^(1/n) - 1.
     """
-    if len(menu) ** n > MENU_SIZE_GUARD:
-        raise ValueError(f"power menu would exceed {MENU_SIZE_GUARD} actions")
-    dist = rule.choose(power(menu, n))
-    pa = dist[diagonal_action(a, n)]
-    pb = dist[diagonal_action(a2, n)]
-    r = ratio_excess(pa, pb)
-    if math.isinf(r):
+    logs = power_diagonal_log(rule, menu, n)
+    la, lb = logs[a], logs[a2]
+    if la == lb == -math.inf:
+        return 0.0
+    if -math.inf in (la, lb):
         return math.inf
-    return (1.0 + r) ** (1.0 / n) - 1.0
+    return math.expm1(abs(la - lb) / n)
 
 
 def effective_neutrality_epsilon(eps_neut: float, eps_decomp: float) -> float:

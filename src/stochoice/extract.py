@@ -12,15 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .axioms import effective_neutrality_epsilon
-from .menus import (
-    MENU_SIZE_GUARD,
-    Menu,
-    action_str,
-    diagonal_action,
-    power,
-    unit_binary_menu,
-)
+from .axioms import effective_neutrality_epsilon, power_diagonal_log
+from .menus import Menu, action_str, unit_binary_menu
 from .rules import ChoiceDistribution, Rule
 from .spaces import (
     Outcome,
@@ -105,20 +98,18 @@ def upsilon(
     """Evaluate the limit rule at n_max: the nth root of each diagonal
     probability on the n_max-fold power menu, renormalized.
 
-    A single evaluation at n_max is used rather than extrapolation: the
-    subadditivity envelope bounds the gap to the limit by
-    (1 + eps_decomp)^(1/n_max) - 1, which is reported alongside.  Zero
-    diagonal probability propagates to a zero estimate.
+    The diagonal log probabilities come from ``power_diagonal_log``: a
+    rule with ``log_diagonal`` (IARU) supplies them from the multiset of
+    outcomes without building the power menu, and the size guard then
+    counts outcome groups, C(n_max + k - 1, n_max) for k actions; any
+    other rule is evaluated on the power menu, guarded at k^n_max
+    actions.  A single evaluation at n_max is used rather than
+    extrapolation: the subadditivity envelope bounds the gap to the
+    limit by (1 + eps_decomp)^(1/n_max) - 1, which is reported
+    alongside.  Zero diagonal probability propagates to a zero estimate.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if len(menu) ** n_max > MENU_SIZE_GUARD:
-        raise ValueError(f"power menu would exceed {MENU_SIZE_GUARD} actions")
-    dist = rule.choose(power(menu, n_max))
-    raw = {}
-    for a in menu.actions:
-        p = dist[diagonal_action(a, n_max)]
-        raw[a] = p ** (1.0 / n_max) if p > 0.0 else 0.0
+    logs = power_diagonal_log(rule, menu, n_max)
+    raw = {a: math.exp(lp / n_max) for a, lp in logs.items()}
     total = math.fsum(raw.values())
     if total <= 0.0:
         raise ValueError("all diagonal probabilities are zero")

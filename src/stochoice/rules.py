@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import gammaln, log_ndtr
 
 from .menus import ActionId, Menu, action_str, canonical_key, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
@@ -25,6 +25,8 @@ from .spaces import SCALAR, SpaceMismatchError, Utility, evaluate, sort_and_cut
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
 ARGMAX_TIE_TOL = 1e-12
+# relative tolerance of each diagonal integral in IARU.log_diagonal
+DIAGONAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,15 @@ class GaussianShock:
     def log_cdf(self, x: np.ndarray) -> np.ndarray:
         return log_ndtr(x / self.sigma)
 
+    def log_neg_log_cdf(self, x: np.ndarray) -> np.ndarray:
+        """ln(-ln F(x)), which keeps its digits where F(x) rounds to 1."""
+        z = x / self.sigma
+        # past 37 sigma, -ln F(x) = F(-x) falls below the smallest normal
+        # double, so its log is taken as ln F(-x) directly
+        far = z > 37.0
+        w = log_ndtr(np.where(far, -z, z))
+        return np.where(far, w, np.log(-w))
+
     def window(self) -> tuple[float, float]:
         # Gaussian tail mass beyond 12 sigma is far below 1e-30
         return (-12.0 * self.sigma, 12.0 * self.sigma)
@@ -154,6 +165,10 @@ class GumbelShock:
     def log_cdf(self, x: np.ndarray) -> np.ndarray:
         return -np.exp(-self.beta * x)
 
+    def log_neg_log_cdf(self, x: np.ndarray) -> np.ndarray:
+        """ln(-ln F(x))."""
+        return -self.beta * x
+
     def window(self) -> tuple[float, float]:
         # analytic 1e-30 quantiles: the right tail decays only like
         # exp(-beta x), so a fixed multiple of the scale would truncate
@@ -174,6 +189,8 @@ class IARU(Rule):
     P[a] = P[o(a) + eps_a = max_b o(b) + eps_b] with iid shocks, i.e.
     the integral of pdf(x) * prod_{b != a} cdf(o(a) - o(b) + x) over x,
     evaluated by adaptive Simpson quadrature and renormalized.
+    ``log_diagonal`` gives the diagonal probabilities of a power menu in
+    log space from its outcome groups.
     """
 
     shock: ShockSpec
@@ -212,6 +229,136 @@ class IARU(Rule):
             for i, a in enumerate(menu.actions)
         }
         return ChoiceDistribution(probs)
+
+    def log_diagonal(self, menu: Menu, n: int) -> dict[ActionId, float]:
+        """ln P[a^n] on power(menu, n) for each base action a, without
+        building the power menu.
+
+        The actions of power(menu, n) fall into one group per composition
+        c of n over the menu's actions: outcome c . o and multiplicity
+        n! / prod c_i!.  Only the k diagonal integrals are taken, each
+        to relative tolerance DIAGONAL_RTOL; nothing is renormalized.
+        """
+        vals = _scalar_values(menu)
+        outcome, log_mult, owner = _compositions(vals, n)
+        result = {}
+        for i, a in enumerate(menu.actions):
+            rest = owner != i
+            result[a] = _log_integral(self.shock, n * vals[i] - outcome[rest], log_mult[rest])
+        return result
+
+
+def _compositions(vals: np.ndarray, n: int):
+    """Outcome, log multiplicity and diagonal owner (the index i with
+    c_i = n, else -1) of every composition c of n over len(vals) parts."""
+    used = np.zeros(1, dtype=np.int64)
+    outcome = np.zeros(1)
+    log_mult = np.full(1, math.lgamma(n + 1))
+    owner = np.full(1, -1)
+    for i, v in enumerate(vals):
+        if i < len(vals) - 1:
+            # each partial composition branches into c_i = 0 .. n - used
+            reps = n - used + 1
+            parent = np.repeat(np.arange(len(used)), reps)
+            c = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+        else:
+            parent = np.arange(len(used))
+            c = n - used
+        used = used[parent] + c
+        outcome = outcome[parent] + c * v
+        log_mult = log_mult[parent] - gammaln(c + 1)
+        owner = np.where(c == n, i, owner[parent])
+    return outcome, log_mult, owner
+
+
+# the peak search stops once g varies by at most _FLAT over its bracket
+_FLAT = 1e-4
+# the window ends where g has fallen _TAIL below its peak; for concave g
+# the mass beyond is then below exp(-_TAIL) relative
+_TAIL = 40.0
+# terms whose sum stays below _DROP on the whole window are left out
+_DROP = 1e-15
+# log-integrand terms evaluated per block, which bounds working memory
+_BLOCK = 1 << 20
+
+
+def _log_integrand(shock: ShockSpec, shifts: np.ndarray, log_mult: np.ndarray):
+    """g(x) = ln f(x) - sum_h exp(log_mult_h) (-ln F(x + shifts_h)),
+    concave because f and F are log-concave."""
+
+    def g(x: np.ndarray) -> np.ndarray:
+        acc = shock.log_pdf(x)
+        step = max(1, _BLOCK // x.size)
+        for s in range(0, len(shifts), step):
+            t = log_mult[s : s + step] + shock.log_neg_log_cdf(x[:, None] + shifts[s : s + step])
+            acc = acc - np.exp(t).sum(axis=1)
+        return acc
+
+    return g
+
+
+def _peak(g, x0: float) -> tuple[float, float, float]:
+    """Bracketing solve for the peak of a concave g: a grid of geometric
+    offsets on both sides of x0 brackets it at any scale, then grids of
+    33 points shrink the bracket until g varies by at most _FLAT over it.
+    Returns the peak, g there and the final bracket's width."""
+    offsets = 2.0 ** np.arange(-30, 61)
+    xs = np.concatenate([x0 - offsets[::-1], [x0], x0 + offsets])
+    gs = g(xs)
+    i = int(np.argmax(gs))
+    if not np.isfinite(gs[i]) or i in (0, len(xs) - 1):
+        raise QuadratureError("diagonal log-integrand has no interior peak")
+    while True:
+        left, right = max(i - 1, 0), min(i + 1, len(xs) - 1)
+        width = xs[right] - xs[left]
+        if gs[i] - min(gs[left], gs[right]) <= _FLAT or width <= 1e-15 * max(1.0, abs(xs[i])):
+            return float(xs[i]), float(gs[i]), float(width)
+        xs = np.linspace(xs[left], xs[right], 33)
+        gs = g(xs)
+        i = int(np.argmax(gs))
+
+
+def _log_integral(shock: ShockSpec, shifts: np.ndarray, log_mult: np.ndarray) -> float:
+    """ln of the integral of exp(g) for g from _log_integrand.
+
+    The curvature at the peak sets the window, and exp(g - g_max) is
+    integrated by adaptive Simpson to relative tolerance DIAGONAL_RTOL."""
+    g = _log_integrand(shock, shifts, log_mult)
+    # start where the own outcome ties the best competitor
+    x0 = -float(shifts.min()) if len(shifts) else 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        peak, g_max, h = _peak(g, x0)
+        h *= 4.0
+        curvature = (2.0 * g_max - g(np.array([peak - h, peak + h])).sum()) / (h * h)
+        if not (curvature > 0.0 and math.isfinite(curvature)):
+            raise QuadratureError("diagonal log-integrand has no curvature at its peak")
+        scale = 1.0 / math.sqrt(curvature)
+        reach = np.array([8.0 * scale, 8.0 * scale])
+        for _ in range(200):
+            short = g(peak + np.array([-1.0, 1.0]) * reach) > g_max - _TAIL
+            if not short.any():
+                break
+            reach[short] *= 2.0
+        else:
+            raise QuadratureError("diagonal log-integrand has no finite window")
+        lo, hi = peak - reach[0], peak + reach[1]
+        # each term falls as x grows, so its value at lo bounds it on the
+        # window; the smallest terms, summing to at most _DROP, are dropped
+        at_lo = np.exp(log_mult + shock.log_neg_log_cdf(lo + shifts))
+        order = np.argsort(at_lo)
+        keep = order[np.cumsum(at_lo[order]) > _DROP]
+        shifts, log_mult = shifts[keep], log_mult[keep]
+        # rounding in g is about eps times the magnitudes summed into it;
+        # no tolerance below that noise can be met, so it sets a floor
+        log_terms = shock.log_neg_log_cdf(peak + shifts)
+        magnitude = abs(float(shock.log_pdf(np.array([peak]))[0])) + float(
+            np.exp(log_mult + log_terms) @ (np.abs(log_mult) + np.abs(log_terms) + 1.0)
+        )
+        tol = max(DIAGONAL_RTOL * math.sqrt(2.0 * math.pi) * scale,
+                  4.0 * np.finfo(float).eps * magnitude * (hi - lo))
+        g = _log_integrand(shock, shifts, log_mult)
+        value = adaptive_simpson(lambda x: np.exp(g(x) - g_max), lo, hi, tol=tol)
+    return g_max + math.log(value)
 
 
 def probit(sigma: float = 1.0, quad_tol: float = 1e-10) -> IARU:

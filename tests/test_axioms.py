@@ -317,6 +317,20 @@ class TestPowerDiagonalMechanism:
         menu = scalar_menu({"a": 1.0, "b": 1.0, "c": 0.0})
         assert power_diagonal_neutrality_epsilon(MNL(1.0), menu, "a", "b", 4) == 0.0
 
+    def test_zero_probability_conventions(self):
+        argmax = MNL(math.inf)
+        assert power_diagonal_neutrality_epsilon(argmax, UNIT, "b0", "b1", 3) == math.inf
+        menu = scalar_menu({"a": 0.0, "b": 0.0, "c": 1.0})
+        assert power_diagonal_neutrality_epsilon(argmax, menu, "a", "b", 3) == 0.0
+
+    def test_probit_keeps_digits_below_underflow(self):
+        # P[b0^40] = exp(-832.47) underflows; the logs of both diagonal
+        # probabilities, from a log-space scipy quad of the Hamming-weight
+        # groups, are -2.417840634811367 and -832.473732944873
+        eps = power_diagonal_neutrality_epsilon(IARU(GaussianShock(1.0)), UNIT, "b1", "b0", 40)
+        expected = math.expm1((-2.417840634811367 + 832.473732944873) / 40)
+        assert eps == pytest.approx(expected, rel=1e-12)
+
     def test_size_guard_fires_before_building(self, monkeypatch):
         import stochoice.axioms
 

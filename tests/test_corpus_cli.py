@@ -487,6 +487,7 @@ class TestExitCodes:
             "nan": write(tmp_path / "nan.json", scalars(0.0, math.nan)),
             "infinite": write(tmp_path / "infinite.json", scalars(0.0, math.inf)),
             "pi": write(tmp_path / "pi.json", scalars(0.0, math.pi)),
+            "three": write(tmp_path / "three.json", scalars(0.0, 1.0, 2.0)),
             "out": str(tmp_path / "out"),
         }
 
@@ -501,8 +502,9 @@ class TestExitCodes:
             "check", "--rule", "mnl", "--menus", "wide",
             "--axioms", "decomposability", "--pairs", "1",
         ],
-        "upsilon_probit_quadrature": [
-            "upsilon", "--rule", "probit", "--menus", "unit", "--n-max", "15",
+        "upsilon_probit_groups_over_size_guard": [
+            # C(1502, 2) = 1,127,251 outcome groups
+            "upsilon", "--rule", "probit", "--menus", "three", "--n-max", "1500",
         ],
         "upsilon_power_over_size_guard": [
             "upsilon", "--rule", "mnl", "--menus", "unit", "--n-max", "21",

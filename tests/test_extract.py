@@ -244,6 +244,149 @@ class TestUpsilon:
         assert dev <= est.bound
 
 
+def _probit_unit_diagonal_log(n):
+    """Natural logs of the diagonal integrals (all b1, all b0) on the
+    n-fold power of the unit binary menu under probit, from the
+    Hamming-weight groups, integrated by scipy quad in log space around
+    the peak of a dense grid."""
+    from scipy import integrate, special
+
+    vals = np.arange(n + 1, dtype=float)
+    counts = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    grid = np.linspace(-40.0, n + 40.0, 40001)
+    out = []
+    for v in (float(n), 0.0):
+        c = counts.copy()
+        c[int(v)] -= 1.0
+
+        def log_f(x, v=v, c=c):
+            x = np.atleast_1d(x)
+            acc = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+            return acc + special.log_ndtr(v - vals[None, :] + x[:, None]) @ c
+
+        lg = log_f(grid)
+        peak = float(grid[np.argmax(lg)])
+        shift = float(lg.max())
+        val = integrate.quad(
+            lambda x: math.exp(float(log_f(x)[0]) - shift),
+            peak - 40.0,
+            peak + 40.0,
+            points=[peak],
+            epsabs=0.0,
+            epsrel=1e-12,
+            limit=400,
+        )[0]
+        out.append(math.log(val) + shift)
+    return out[0], out[1]
+
+
+class TestUpsilonMultisetPath:
+    """IARU's Υ from grouped outcomes, without the power menu."""
+
+    @pytest.mark.parametrize("n", range(8, 16))
+    def test_probit_roots_match_log_space_reference(self, n):
+        top, bottom = _probit_unit_diagonal_log(n)
+        logs = probit().log_diagonal(UNIT, n)
+        assert math.exp(logs["b1"] / n) == pytest.approx(math.exp(top / n), rel=1e-8)
+        assert math.exp(logs["b0"] / n) == pytest.approx(math.exp(bottom / n), rel=1e-8)
+        share = 1.0 / (1.0 + math.exp((top - bottom) / n))
+        est = upsilon(probit(), UNIT, n).distribution
+        assert est["b0"] == pytest.approx(share, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_gumbel_iaru_is_mnl_at_n_200(self, beta):
+        from stochoice.rules import IARU, GumbelShock
+
+        menu = scalar_menu({"a": 0.0, "b": 1.0, "c": -0.5})
+        est = upsilon(IARU(GumbelShock(beta)), menu, 200).distribution
+        base = MNL(beta).choose(menu)
+        for a in menu.actions:
+            assert est[a] == pytest.approx(base[a], abs=1e-9)
+
+    def test_gumbel_log_diagonal_past_float_multiplicities(self):
+        # C(2000, 1000) = 2e600 overflows a float; Gumbel IARU is logit,
+        # so ln P[a^n] = n beta o(a) - n ln(sum_b exp(beta o(b)))
+        from stochoice.rules import IARU, GumbelShock
+
+        beta, n = 1.5, 2000
+        logs = IARU(GumbelShock(beta)).log_diagonal(UNIT, n)
+        norm = n * math.log1p(math.exp(beta))
+        assert logs["b1"] == pytest.approx(n * beta - norm, rel=1e-10)
+        assert logs["b0"] == pytest.approx(-norm, rel=1e-10)
+
+    def test_three_action_probit_diagonal_against_quad(self):
+        from scipy import integrate, special
+
+        from stochoice import diagonal_action
+
+        menu = scalar_menu({"a": 0.0, "b": 1.0, "c": -0.5})
+        n = 6
+        pw = power(menu, n)
+        outcomes = {act: o.value for act, o in pw.entries}
+        logs = probit().log_diagonal(menu, n)
+        for a in menu.actions:
+            own = diagonal_action(a, n)
+            rest = np.array([v for act, v in outcomes.items() if act != own])
+
+            def log_f(x, v=outcomes[own], rest=rest):
+                x = np.atleast_1d(x)
+                acc = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi)
+                return acc + special.log_ndtr(v - rest[None, :] + x[:, None]).sum(axis=1)
+
+            grid = np.linspace(-40.0, 40.0, 8001)
+            lg = log_f(grid)
+            peak, shift = float(grid[np.argmax(lg)]), float(lg.max())
+            val = integrate.quad(
+                lambda x: math.exp(float(log_f(x)[0]) - shift),
+                peak - 40.0,
+                peak + 40.0,
+                points=[peak],
+                epsabs=0.0,
+                epsrel=1e-12,
+                limit=400,
+            )[0]
+            assert math.exp(logs[a] - shift) == pytest.approx(val, rel=1e-8)
+
+    def test_never_builds_the_power_menu(self, monkeypatch):
+        import sys
+
+        import stochoice.menus
+
+        def refuse(menu, n):
+            raise AssertionError("the multiset path builds no power menu")
+
+        original = stochoice.menus.power
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("stochoice") and getattr(mod, "power", None) is original:
+                monkeypatch.setattr(mod, "power", refuse)
+        est = upsilon(probit(), UNIT, 15).distribution
+        assert est["b0"] == pytest.approx(3.62e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+    def test_binary_probit_tail_is_relative(self, delta):
+        from scipy.special import ndtr
+
+        menu = scalar_menu({"b0": 0.0, "b1": delta})
+        p0 = upsilon(probit(), menu, 1).distribution["b0"]
+        assert p0 == pytest.approx(float(ndtr(-delta / math.sqrt(2.0))), rel=1e-9, abs=0.0)
+
+    def test_unit_menu_at_n_1000(self):
+        # multiplicities up to C(1000, 500) = 2.7e299; Υ(probit) on the
+        # unit menu approaches the argmax rule
+        top, bottom = _probit_unit_diagonal_log(1000)
+        logs = probit().log_diagonal(UNIT, 1000)
+        assert math.exp((logs["b0"] - bottom) / 1000) == pytest.approx(1.0, rel=1e-8)
+        assert math.exp((logs["b1"] - top) / 1000) == pytest.approx(1.0, rel=1e-8)
+        est = upsilon(probit(), UNIT, 1000).distribution
+        assert 0.0 < est["b0"] < 1e-200
+
+    def test_guard_counts_outcome_groups(self):
+        three = scalar_menu({"a": 0.0, "b": 1.0, "c": 2.0})
+        # C(1002, 2) = 501,501 groups pass, C(1502, 2) = 1,127,251 do not
+        with pytest.raises(ValueError, match="outcome groups"):
+            upsilon(probit(), three, 1500)
+
+
 class TestCertify:
     def test_mnl_against_own_beta(self):
         corpus = [UNIT, scalar_menu({"a": -1.0, "b": 2.0, "c": 0.5})]
