@@ -43,15 +43,6 @@ class CorpusSpec:
         if not 1 <= self.actions_min <= self.actions_max:
             raise ValueError("actions_per_menu range is empty")
 
-    def to_json(self) -> dict:
-        return {
-            "space": self.space.to_json(),
-            "menu_count": self.menu_count,
-            "actions_per_menu": [self.actions_min, self.actions_max],
-            "outcome_sampler": dict(self.sampler),
-            "seed": self.seed,
-        }
-
     @staticmethod
     def from_json(data: dict) -> "CorpusSpec":
         lo, hi = data.get("actions_per_menu", [2, 5])

@@ -14,8 +14,6 @@ from functools import lru_cache, reduce
 from typing import Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .spaces import (
     Outcome,
@@ -206,6 +204,10 @@ def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
         if len(left) != len(right):
             return None
         if not all_equal:
+            # imported here: no CLI command compares menus up to relabeling
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import maximum_bipartite_matching
+
             compatible = csr_matrix(
                 [[outcomes_equal(outcomes[i], outcomes[j], tol) for j in right] for i in left]
             )

@@ -1,9 +1,12 @@
 """Adaptive Simpson quadrature over a finite interval.
 
 The integrand maps a numpy array of points to an array of values, so
-refinement rounds evaluate whole batches of midpoints at once.  Local
-error control follows the classic |S_fine - S_coarse| <= 15 * tol rule
-with the tolerance budget split proportionally to interval length.
+refinement rounds evaluate whole batches of midpoints at once.  It may
+also return one row of values per integral, shape (rows, points): all
+rows then share the panels, and a panel's error is the sum of its rows'
+errors.  Local error control follows the classic
+|S_fine - S_coarse| <= 15 * tol rule with the tolerance budget split
+proportionally to interval length.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int = 40) -> float:
+def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int = 40):
     """Integrate f over [lo, hi] to absolute tolerance tol; raise
-    QuadratureError when panels are still unresolved at max_depth."""
+    QuadratureError when panels are still unresolved at max_depth.
+
+    Returns a float, or an array of one integral per row when f returns
+    rows; the rows' absolute errors then sum to at most tol."""
     if not hi > lo:
         raise ValueError("empty integration interval")
     edges = np.linspace(lo, hi, _SEED_PANELS + 1)
@@ -30,7 +36,7 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int
     coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     # each panel gets a tolerance share proportional to its width
     share = np.full(_SEED_PANELS, tol / _SEED_PANELS)
-    total = 0.0
+    total = np.zeros(fa.shape[:-1])
     depth = 0
     while a.size:
         if depth >= max_depth:
@@ -43,18 +49,19 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         fine = left + right
-        err = np.abs(fine - coarse)
+        err = np.abs(fine - coarse).reshape(-1, a.size).sum(axis=0)
         done = err <= 15.0 * share
         # Richardson extrapolation on accepted panels
-        total += float(np.sum(fine[done] + (fine[done] - coarse[done]) / 15.0))
-        keep = ~done
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
-        m = np.concatenate([lm[keep], rm[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
-        share = np.concatenate([share[keep] / 2.0, share[keep] / 2.0])
+        total += (fine + (fine - coarse) / 15.0).take(done.nonzero()[0], axis=-1).sum(axis=-1)
+        # split each kept panel: its points a, lm, m, rm, b give the left
+        # half (a, lm, m) and the right half (m, rm, b); panels are picked
+        # by index, as a boolean mask on the last axis of rows is slow
+        keep = (~done).nonzero()[0]
+        xs = np.array([a, lm, m, rm, b]).take(keep, axis=-1)
+        fs = np.array([fa, flm, fm, frm, fb]).take(keep, axis=-1)
+        a, m, b = np.concatenate([xs[:3], xs[2:]], axis=-1)
+        fa, fm, fb = np.concatenate([fs[:3], fs[2:]], axis=-1)
+        coarse = np.concatenate([left.take(keep, axis=-1), right.take(keep, axis=-1)], axis=-1)
+        share = np.concatenate([share[keep] / 2.0] * 2)
         depth += 1
-    return total
+    return total if total.ndim else float(total)

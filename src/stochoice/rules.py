@@ -186,9 +186,11 @@ ShockSpec = GaussianShock | GumbelShock
 class IARU(Rule):
     """Independent additive random utility rule on scalar outcomes.
 
-    P[a] = P[o(a) + eps_a = max_b o(b) + eps_b] with iid shocks, i.e.
-    the integral of pdf(x) * prod_{b != a} cdf(o(a) - o(b) + x) over x,
-    evaluated by adaptive Simpson quadrature and renormalized.
+    P[a] = P[o(a) + eps_a = max_b o(b) + eps_b] with iid shocks.  With
+    H(y) = prod_b cdf(y - o(b)) the cdf of the best utility, a wins with
+    the integral of pdf(y - o(a)) * H(y) / cdf(y - o(a)) over y.  One
+    adaptive Simpson run takes every outcome group's integral at once,
+    and the results are renormalized.
     ``log_diagonal`` gives the diagonal probabilities of a power menu in
     log space from its outcome groups.
     """
@@ -198,36 +200,32 @@ class IARU(Rule):
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         vals = _scalar_values(menu)
-        # equal-outcome actions share one integral, which keeps IARU
+        # equal-outcome actions share one row, which keeps IARU
         # exactly neutral and makes large power menus tractable
         group_of = sort_and_cut(vals.tolist(), 1e-12 * max(1.0, float(np.abs(vals).max())))
-        counts = np.bincount(group_of)
+        counts = np.bincount(group_of).astype(float)
         reps = np.full(len(counts), np.inf)
         np.minimum.at(reps, group_of, vals)
+
+        def masses(y: np.ndarray) -> np.ndarray:
+            # row g is c_g f(y - o_g) H(y) / F(y - o_g), group g's share
+            # of the density of H
+            x = y - reps[:, None]
+            log_cdf = self.shock.log_cdf(x)
+            return counts[:, None] * np.exp(self.shock.log_pdf(x) - log_cdf + counts @ log_cdf)
+
         lo, hi = self.shock.window()
-        group_p = np.empty(len(reps))
-        for g, v in enumerate(reps):
-            exponents = counts.copy()
-            exponents[g] -= 1
-            deltas = v - reps
-
-            def integrand(x: np.ndarray) -> np.ndarray:
-                acc = self.shock.log_pdf(x)
-                for e, dv in zip(exponents, deltas):
-                    if e:
-                        acc = acc + e * self.shock.log_cdf(dv + x)
-                return np.exp(acc)
-
-            group_p[g] = adaptive_simpson(integrand, lo, hi, tol=self.quad_tol)
-        total = float(np.dot(counts, group_p))
+        top = reps.max()
+        # the rows' errors together stay within quad_tol, so their sum
+        # meets the guard however many actions share an outcome
+        group_mass = adaptive_simpson(masses, top + lo, top + hi, tol=self.quad_tol)
+        total = float(np.sum(group_mass))
         if abs(total - 1.0) > NORMALIZATION_GUARD:
             raise QuadratureError(
                 f"IARU probabilities sum to {total!r} before renormalization"
             )
-        probs = {
-            a: float(group_p[group_of[i]] / total)
-            for i, a in enumerate(menu.actions)
-        }
+        group_p = group_mass / counts / total
+        probs = {a: float(group_p[group_of[i]]) for i, a in enumerate(menu.actions)}
         return ChoiceDistribution(probs)
 
     def log_diagonal(self, menu: Menu, n: int) -> dict[ActionId, float]:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from stochoice import CorpusSpec, Space, generate_corpus, sample_pairs
+from stochoice import CorpusSpec, Space, generate_corpus, power, sample_pairs, unit_binary_menu
 from stochoice.cli import main
 
 
@@ -174,6 +174,21 @@ class TestCheckCommand:
         report = payload["reports"][0]
         assert report["min_epsilon"] > 0.06
         assert report["witness"]["pair"] == ["b0", "b0"]
+
+    def test_probit_on_power_menu_file(self, tmp_path, capsys):
+        # 2^15 actions whose outcome groups hold up to C(15, 7) = 6435
+        # actions; the normalization guard holds at that multiplicity
+        rule = write(
+            tmp_path / "probit.json",
+            {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}},
+        )
+        menu = write(tmp_path / "power.json", power(unit_binary_menu(), 15).to_json())
+        argv = ["check", "--rule", rule, "--menus", menu,
+                "--axioms", "neutrality,positivity", "--json"]
+        assert main(argv) == 0
+        reports = {r["axiom"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+        assert reports["neutrality"]["min_epsilon"] == 0.0
+        assert reports["positivity"]["satisfied_at_tol"]
 
     def test_identity_check_with_rational_scaling(self, tmp_path, capsys):
         rule = write(tmp_path / "r.json", {"type": "mnl", "beta": 1.0})

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import numpy as np
 from scipy import integrate
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from stochoice import (
@@ -21,6 +23,7 @@ from stochoice import (
     Tabular,
     Uniform,
     Utility,
+    diagonal_action,
     menu_of,
     power,
     probit,
@@ -66,6 +69,18 @@ class TestQuadrature:
         step = lambda x: (x < 0.7).astype(float)
         with pytest.raises(QuadratureError, match="depth 6"):
             adaptive_simpson(step, 0.0, 1.0, tol=1e-14, max_depth=6)
+
+    def test_rows_share_one_error_budget(self):
+        rows = lambda x: np.stack([norm.pdf(x), 2.0 * norm.pdf(x - 1.0)])
+        tol = 1e-10
+        value = adaptive_simpson(rows, -12.0, 13.0, tol=tol)
+        assert value.shape == (2,)
+        assert float(np.abs(value - [1.0, 2.0]).sum()) <= tol
+
+    def test_row_depth_cap_raises(self):
+        rows = lambda x: np.stack([norm.pdf(x), (x < 0.7).astype(float)])
+        with pytest.raises(QuadratureError, match="depth 6"):
+            adaptive_simpson(rows, 0.0, 1.0, tol=1e-14, max_depth=6)
 
     def test_one_quadrature_error(self):
         import stochoice.quadrature
@@ -250,6 +265,32 @@ class TestIARU:
         menu = scalar_menu({"a": -1.5, "b": 0.0, "c": 0.25, "d": 2.0, "e": 1.0})
         ok, dev = iaru_equals_mnl_probe(2.0, [menu], 1e-6)
         assert ok, dev
+
+    def test_power_menu_meets_normalization_guard(self):
+        # 2^15 actions in 16 outcome groups of up to C(15, 7) = 6435
+        n = 15
+        dist = probit().choose(power(UNIT, n))
+        for a, log_p in probit().log_diagonal(UNIT, n).items():
+            assert abs(dist[diagonal_action(a, n)] - math.exp(log_p)) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_gumbel_equals_mnl_on_many_outcomes(self, beta):
+        values = np.linspace(-4.0, 4.0, 1000)
+        menu = scalar_menu({f"a{i}": float(v) for i, v in enumerate(values)})
+        iaru, mnl = IARU(GumbelShock(beta)).choose(menu), MNL(beta).choose(menu)
+        assert max(abs(iaru[a] - mnl[a]) for a in menu.actions) <= 1e-12
+
+    def test_probit_many_outcomes_against_quad(self):
+        # oracle: P[a] = integral of pdf(x) prod_{b != a} cdf(o(a) - o(b) + x)
+        # over a's own shock x, one scipy quad per action
+        values = np.random.default_rng(7).uniform(-3.0, 3.0, 200)
+        menu = scalar_menu({f"a{i}": float(v) for i, v in enumerate(values)})
+        dist = probit().choose(menu)
+        for i, v in enumerate(values):
+            others = np.delete(values, i)
+            f = lambda x: math.exp(norm.logpdf(x) + log_ndtr(v - others + x).sum())
+            ref, _ = integrate.quad(f, -12.0, 20.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+            assert abs(dist[f"a{i}"] - ref) <= 1e-10
 
     def test_mismatched_beta_detected(self):
         dist = IARU(GumbelShock(1.0)).choose(UNIT)

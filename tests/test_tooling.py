@@ -66,15 +66,16 @@ def test_tracer_wraps_a_check(tmp_path):
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize takes about 0.2 s to import; only the fits that
-    # solve a linear program load it, inside the function that needs it
+    # solve a linear program load it, inside the function that needs it.
+    # scipy.sparse is loaded only by equivalent's bipartite matching.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.path.insert(0, sys.argv[1]); import stochoice.cli; "
-         "print('scipy.optimize' in sys.modules)",
+         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)",
          str(ROOT / "src")],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
