@@ -49,11 +49,25 @@ def _load_json(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_rule(path: str) -> Rule:
+def _parse(data, source: str, parse):
+    """parse(data), with any malformed content, such as a list where an
+    object belongs, raised as an InputError naming its source."""
     try:
-        return rule_from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"invalid rule file {path}: {exc}") from exc
+        return parse(data)
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"invalid {source}: {exc}") from exc
+
+
+def _parse_file(path: str, what: str, parse):
+    return _parse(_load_json(path), f"{what} file {path}", parse)
+
+
+def _load_rule(path: str) -> Rule:
+    return _parse_file(path, "rule", rule_from_json)
+
+
+def _load_corpus(path: str) -> list[Menu]:
+    return _parse_file(path, "corpus spec", lambda d: generate_corpus(CorpusSpec.from_json(d)))
 
 
 def _load_menus(args) -> list[tuple[str, Menu]]:
@@ -61,23 +75,41 @@ def _load_menus(args) -> list[tuple[str, Menu]]:
         paths = sorted(glob.glob(args.menus))
         if not paths:
             raise InputError(f"no menu files match {args.menus!r}")
-        out = []
-        for p in paths:
-            try:
-                out.append((Path(p).name, Menu.from_json(_load_json(p))))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise InputError(f"invalid menu file {p}: {exc}") from exc
-        return out
+        return [(Path(p).name, _parse_file(p, "menu", Menu.from_json)) for p in paths]
     if getattr(args, "corpus", None):
-        spec = CorpusSpec.from_json(_load_json(args.corpus))
-        menus = generate_corpus(spec)
+        menus = _load_corpus(args.corpus)
         return [(f"menu_{i + 1:04d}", m) for i, m in enumerate(menus)]
     raise InputError("one of --menus or --corpus is required")
 
 
+class _CorpusChoices(Rule):
+    """The rule with each corpus menu's distribution computed once and
+    shared by every checker; any other menu is chosen afresh.
+
+    Menus are keyed by id, and each is held here, so no other menu can
+    share an id with one while this object lives."""
+
+    def __init__(self, rule: Rule, menus: list[Menu]) -> None:
+        self.rule = rule
+        self.menus = {id(m): m for m in menus}
+        self.dists = {}
+
+    def choose(self, menu: Menu):
+        key = id(menu)
+        if self.menus.get(key) is not menu:
+            return self.rule.choose(menu)
+        if key not in self.dists:
+            self.dists[key] = self.rule.choose(menu)
+        return self.dists[key]
+
+
 def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
     """Per requested axiom, the corpus report merged by
-    ``axioms.merge_reports`` and the list of every per-instance witness."""
+    ``axioms.merge_reports`` and the list of every per-instance witness.
+    Each corpus menu is chosen from once; products, continuity's moved
+    menus and identity probes are chosen afresh."""
+    menus = [m for _, m in labeled_menus]
+    rule = _CorpusChoices(rule, menus)
     per_menu = {
         "neutrality": lambda m, mid: axioms.neutrality_epsilon(rule, m, tol=tol, menu_id=mid),
         "positivity": lambda m, mid: axioms.positivity_check(rule, m, menu_id=mid),
@@ -91,7 +123,7 @@ def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
         if name not in which:
             continue
         if name == "decomposability":
-            sampled = sample_pairs([m for _, m in labeled_menus], pairs, seed)
+            sampled = sample_pairs(menus, pairs, seed)
             per_instance = [
                 axioms.decomposability_epsilon(rule, m1, m2, tol=tol)
                 for m1, m2 in sampled
@@ -147,6 +179,8 @@ def cmd_check(args) -> int:
     unknown = set(which) - set(CHECKABLE_AXIOMS)
     if unknown:
         raise InputError(f"unknown axioms: {sorted(unknown)}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise InputError("--tol must be finite and >= 0")
     pairs = args.pairs if args.pairs is not None else len(labeled)
     if pairs < 1:
         raise InputError("--pairs must be >= 1")
@@ -158,9 +192,9 @@ def cmd_fit(args) -> int:
     rule = _load_rule(args.rule)
     raw = args.space
     if raw.lstrip().startswith("{"):
-        space = Space.from_json(json.loads(raw))
+        space = _parse(json.loads(raw), "--space", Space.from_json)
     else:
-        space = Space.from_json(_load_json(raw))
+        space = _parse_file(raw, "space", Space.from_json)
     result = fit_utility_representation(rule, space)
     if args.json:
         print(
@@ -185,7 +219,9 @@ def cmd_fit(args) -> int:
 def cmd_certify(args) -> int:
     rule = _load_rule(args.rule)
     labeled = _load_menus(args)
-    utility = None if args.utility == "auto" else Utility.from_json(_load_json(args.utility))
+    utility = None
+    if args.utility != "auto":
+        utility = _parse_file(args.utility, "utility", Utility.from_json)
     ids = [mid for mid, _ in labeled]
     menus = [m for _, m in labeled]
     cert = certify_closeness(rule, menus, utility, menu_ids=ids)
@@ -230,10 +266,9 @@ def cmd_demo_probit(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = CorpusSpec.from_json(_load_json(args.spec))
+    menus = _load_corpus(args.spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    menus = generate_corpus(spec)
     for i, menu in enumerate(menus):
         path = out_dir / f"menu_{i + 1:04d}.json"
         path.write_text(

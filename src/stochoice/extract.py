@@ -106,8 +106,11 @@ def upsilon(
     actions.  A single evaluation at n_max is used rather than
     extrapolation: the subadditivity envelope bounds the gap to the
     limit by (1 + eps_decomp)^(1/n_max) - 1, which is reported
-    alongside.  Zero diagonal probability propagates to a zero estimate.
+    alongside; a negative or NaN eps_decomp raises ValueError.  Zero
+    diagonal probability propagates to a zero estimate.
     """
+    if eps_decomp is not None and not eps_decomp >= 0.0:
+        raise ValueError("eps_decomp must be nonnegative")
     logs = power_diagonal_log(rule, menu, n_max)
     raw = {a: math.exp(lp / n_max) for a, lp in logs.items()}
     total = math.fsum(raw.values())

@@ -9,6 +9,7 @@ left-associated since composition need not be associative.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Union
@@ -35,6 +36,8 @@ ActionId = Union[str, tuple]
 MENU_SIZE_GUARD = 1_000_000
 
 _RESERVED = set("(),")
+_ACTION_TOKENS = re.compile(r"[(),]|[^(),]+")
+_OPEN = object()
 
 
 @lru_cache(maxsize=None)
@@ -47,17 +50,26 @@ def action_str(a: ActionId) -> str:
 
 
 def action_from_str(s: str) -> ActionId:
-    if not s.startswith("("):
-        return s
-    # split the top-level pair at the comma with balanced parentheses
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return (action_from_str(s[1:i]), action_from_str(s[i + 1 : -1]))
+    """Inverse of ``action_str``, read in one pass with a stack of open
+    pairs; any string that ``action_str`` does not produce raises
+    ValueError."""
+    lefts = []  # per open pair, _OPEN until its comma, then its left id
+    done = None  # the id just read, or None where an id is expected
+    for tok in _ACTION_TOKENS.findall(s):
+        if tok == "(" and done is None:
+            lefts.append(_OPEN)
+        elif tok == "," and lefts and lefts[-1] is _OPEN:
+            lefts[-1] = "" if done is None else done
+            done = None
+        elif tok == ")" and lefts and lefts[-1] is not _OPEN:
+            done = (lefts.pop(), "" if done is None else done)
+        elif tok not in _RESERVED and done is None:
+            done = tok
+        else:
+            break
+    else:
+        if not lefts:
+            return "" if done is None else done
     raise ValueError(f"malformed action id: {s!r}")
 
 

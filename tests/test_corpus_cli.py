@@ -1,10 +1,21 @@
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
-from stochoice import CorpusSpec, Space, generate_corpus, power, sample_pairs, unit_binary_menu
+from stochoice import (
+    CorpusSpec,
+    Rule,
+    Space,
+    axioms,
+    generate_corpus,
+    power,
+    rule_from_json,
+    sample_pairs,
+    unit_binary_menu,
+)
 from stochoice.cli import main
 
 
@@ -486,6 +497,8 @@ class TestExitCodes:
             "menu_count": 3,
         }
         probit = {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}
+        scalar_space = {"kind": "real_scalar"}
+        lottery_space = {"kind": "discrete_distribution", "moment_order": 2}
 
         def scalars(*values):
             actions = [{"id": f"a{i}", "outcome": v} for i, v in enumerate(values)]
@@ -503,6 +516,28 @@ class TestExitCodes:
             "infinite": write(tmp_path / "infinite.json", scalars(0.0, math.inf)),
             "pi": write(tmp_path / "pi.json", scalars(0.0, math.pi)),
             "three": write(tmp_path / "three.json", scalars(0.0, 1.0, 2.0)),
+            "int_range": write(
+                tmp_path / "int_range.json",
+                {"space": scalar_space, "menu_count": 3, "actions_per_menu": 5},
+            ),
+            "list_spec": write(tmp_path / "list_spec.json", [scalar_space, 3]),
+            "list_sampler": write(
+                tmp_path / "list_sampler.json",
+                {"space": scalar_space, "menu_count": 3, "outcome_sampler": [1]},
+            ),
+            "beta_list": write(
+                tmp_path / "beta_list.json", {"space": scalar_space, "beta": [1, 2]}
+            ),
+            "gammas_int": write(
+                tmp_path / "gammas_int.json", {"space": lottery_space, "gammas": 5}
+            ),
+            "unbalanced_id": write(
+                tmp_path / "unbalanced_id.json",
+                {
+                    "space": scalar_space,
+                    "actions": [{"id": "(a,bc", "outcome": 0}, {"id": "b", "outcome": 1}],
+                },
+            ),
             "out": str(tmp_path / "out"),
         }
 
@@ -530,10 +565,31 @@ class TestExitCodes:
             "check", "--rule", "mnl", "--menus", "pi", "--axioms", "identity",
         ],
         "fit_unknown_space": ["fit", "--rule", "mnl", "--space", '{"kind": "simplex"}'],
+        "fit_inline_space_malformed": [
+            "fit", "--rule", "mnl", "--space", '{"kind": "real_vector", "d": [1]}',
+        ],
         "fit_rule_on_wrong_space": [
             "fit", "--rule", "probit", "--space", '{"kind": "matrix", "d": 2}',
         ],
         "demo_probit_unknown_shock": ["demo-probit", "--shock", "cauchy:1"],
+        "check_actions_per_menu_not_a_pair": [
+            "check", "--rule", "uniform", "--corpus", "int_range",
+        ],
+        "gen_actions_per_menu_not_a_pair": ["gen", "--spec", "int_range", "--out", "out"],
+        "check_spec_is_a_list": ["check", "--rule", "uniform", "--corpus", "list_spec"],
+        "check_sampler_is_a_list": ["check", "--rule", "uniform", "--corpus", "list_sampler"],
+        "certify_utility_beta_is_a_list": [
+            "certify", "--rule", "mnl", "--menus", "three", "--utility", "beta_list",
+        ],
+        "certify_utility_gammas_not_a_list": [
+            "certify", "--rule", "uniform", "--corpus", "lottery", "--utility", "gammas_int",
+        ],
+        "upsilon_negative_eps_decomp": [
+            "upsilon", "--rule", "mnl", "--menus", "unit", "--eps-decomp", "-2", "--json",
+        ],
+        "check_nan_tol": ["check", "--rule", "mnl", "--menus", "three", "--tol", "NaN"],
+        "check_negative_tol": ["check", "--rule", "mnl", "--menus", "three", "--tol", "-0.001"],
+        "check_unbalanced_action_id": ["check", "--rule", "mnl", "--menus", "unbalanced_id"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -551,3 +607,126 @@ class TestExitCodes:
         argv = ["certify", "--rule", inputs["mnl"], "--menus", inputs["unit"]]
         assert main(argv) == 2
         assert "reconstruction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["NaN", "-0.001", "inf"])
+    def test_bad_tol_is_named(self, tol, inputs, capsys):
+        argv = ["check", "--rule", inputs["mnl"], "--menus", inputs["three"], "--tol", tol]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --tol must be finite and >= 0\n"
+
+
+PROBIT_RULE = {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}
+LOTTERY_RULE = {
+    "type": "perturbed",
+    "base": {
+        "type": "general_mnl",
+        "utility": {
+            "space": {"kind": "discrete_distribution", "moment_order": 2},
+            "gammas": [1.0, -0.5],
+        },
+    },
+    "delta": 0.05,
+    "seed": 3,
+}
+# integer outcomes keep the identity check defined and make equal
+# outcomes, so neutrality compares pairs
+PROBIT_SPEC = {
+    "space": {"kind": "real_scalar"},
+    "menu_count": 6,
+    "actions_per_menu": [2, 3],
+    "outcome_sampler": {"low": -4, "high": 4, "integer": True},
+    "seed": 7,
+}
+LOTTERY_SPEC = {
+    "space": {"kind": "discrete_distribution", "moment_order": 2},
+    "menu_count": 12,
+    "seed": 5,
+}
+SHARED_CASES = {
+    "probit": (
+        PROBIT_RULE,
+        PROBIT_SPEC,
+        ["neutrality", "positivity", "continuity", "decomposability", "identity"],
+    ),
+    "lottery": (LOTTERY_RULE, LOTTERY_SPEC, ["neutrality", "positivity", "decomposability"]),
+}
+
+
+class TestCheckSharesChoices:
+    """``check`` chooses from each corpus menu once and hands that
+    distribution to every checker; the reports are those of the checkers
+    called one by one with the rule itself."""
+
+    PAIRS, SEED, TOL = 9, 4, 1e-9
+
+    def run_check(self, tmp_path, case, capsys):
+        rule, spec, which = SHARED_CASES[case]
+        argv = [
+            "check", "--rule", write(tmp_path / "rule.json", rule),
+            "--corpus", write(tmp_path / "spec.json", spec),
+            "--axioms", ",".join(which), "--pairs", str(self.PAIRS),
+            "--seed", str(self.SEED), "--json",
+        ]
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES))
+    def test_reports_match_direct_checks(self, tmp_path, case, capsys):
+        rule_json, spec, which = SHARED_CASES[case]
+        rule = rule_from_json(rule_json)
+        menus = generate_corpus(CorpusSpec.from_json(spec))
+        ids = [f"menu_{i + 1:04d}" for i in range(len(menus))]
+        per_menu = {
+            "neutrality": lambda m, mid: axioms.neutrality_epsilon(
+                rule, m, tol=self.TOL, menu_id=mid
+            ),
+            "positivity": lambda m, mid: axioms.positivity_check(rule, m, menu_id=mid),
+            "continuity": lambda m, mid: axioms.continuity_probe(rule, m, menu_id=mid),
+            "identity": lambda m, mid: axioms.cross_menu_identity_epsilon(
+                rule, m, tol=self.TOL, menu_id=mid
+            ),
+        }
+        rows = []
+        for name in which:
+            if name == "decomposability":
+                reports = [
+                    axioms.decomposability_epsilon(rule, m1, m2, tol=self.TOL)
+                    for m1, m2 in sample_pairs(menus, self.PAIRS, self.SEED)
+                ]
+            else:
+                reports = [per_menu[name](m, mid) for m, mid in zip(menus, ids)]
+            row = axioms.merge_reports(reports).to_json()
+            row["witnesses"] = [r.witness for r in reports if r.witness is not None]
+            rows.append(row)
+        expected = json.loads(json.dumps(rows))
+
+        code, payload = self.run_check(tmp_path, case, capsys)
+        assert payload["reports"] == expected
+        assert [r["instances_checked"] for r in payload["reports"]][-1] == (
+            self.PAIRS if which[-1] == "decomposability" else len(menus)
+        )
+        assert code == (0 if payload["pass"] else 1)
+        assert payload["pass"] == all(r["satisfied_at_tol"] for r in expected)
+
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES))
+    def test_each_corpus_menu_chosen_once(self, tmp_path, case, monkeypatch, capsys):
+        import stochoice.cli
+
+        chosen = Counter()
+
+        class Counted(Rule):
+            def __init__(self, rule):
+                self.rule = rule
+
+            def choose(self, menu):
+                chosen[menu] += 1
+                return self.rule.choose(menu)
+
+        load = stochoice.cli._load_rule
+        monkeypatch.setattr(stochoice.cli, "_load_rule", lambda path: Counted(load(path)))
+        self.run_check(tmp_path, case, capsys)
+        corpus = generate_corpus(CorpusSpec.from_json(SHARED_CASES[case][1]))
+        # menus equal in value are counted together
+        assert {m: chosen[m] for m in corpus} == dict(Counter(corpus))
+        # products, continuity's moved menus and identity probes come on top
+        assert sum(chosen.values()) > len(corpus)

@@ -157,6 +157,12 @@ class TestUpsilon:
         assert est.bound == pytest.approx(1.5 ** (1 / 8) - 1)
         assert upsilon(MNL(1.0), UNIT, 8).bound is None
 
+    @pytest.mark.parametrize("eps", [-2.0, -1e-12, math.nan])
+    def test_envelope_rejects_negative(self, eps):
+        # (1 + eps)^(1/n) - 1 is complex for eps < -1
+        with pytest.raises(ValueError, match="eps_decomp"):
+            upsilon(MNL(1.0), UNIT, 8, eps_decomp=eps)
+
     def test_probit_drifts_toward_argmax(self):
         # probit is not uniformly approximately decomposable: its nth-root
         # estimates escalate toward the argmax rule instead of converging

@@ -138,6 +138,26 @@ class TestActionIds:
     def test_serialization_shape(self):
         assert action_str(("a", "b")) == "(a,b)"
 
+    def test_round_trip_20_deep(self):
+        left = diagonal_action("x", 21)
+        right = "y"
+        for i in range(20):
+            right = (f"r{i}", right)
+        mixed = ("m", "")
+        for i in range(20):
+            mixed = (mixed, f"m{i}") if i % 2 else (f"m{i}", mixed)
+        for a in (left, right, mixed, (left, right)):
+            s = action_str(a)
+            assert action_from_str(s) == a
+            assert action_str(action_from_str(s)) == s
+
+    @pytest.mark.parametrize(
+        "s", ["(a,bc", "(a,b", "((a,b),c", "(a,b)c", "(a)", "()", "(a,b,c)", "a,b", "a)", "(a,b))"]
+    )
+    def test_malformed_ids_rejected(self, s):
+        with pytest.raises(ValueError, match="malformed action id"):
+            action_from_str(s)
+
     def test_reserved_characters_rejected(self):
         with pytest.raises(ValueError):
             scalar_menu({"a,b": 1.0})
