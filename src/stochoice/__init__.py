@@ -13,13 +13,11 @@ from .spaces import (
     PRIZE_STREAM,
     SCALAR,
     VECTOR,
-    NoCompensationError,
     Outcome,
     Space,
     SpaceMismatchError,
     Utility,
     basis_probes,
-    compensate,
     compose,
     cumulants,
     evaluate,

@@ -103,19 +103,37 @@ class _CorpusChoices(Rule):
         return self.dists[key]
 
 
+class _ProbeChoices(Rule):
+    """The corpus choices for the identity check, which chooses from
+    nothing but corpus menus and its probes {b0: 0, b1: 1/k}: any other
+    menu is a probe, chosen once per value and so once per k."""
+
+    def __init__(self, corpus: _CorpusChoices) -> None:
+        self.corpus = corpus
+        self.probes = {}
+
+    def choose(self, menu: Menu):
+        if self.corpus.menus.get(id(menu)) is menu:
+            return self.corpus.choose(menu)
+        if menu not in self.probes:
+            self.probes[menu] = self.corpus.rule.choose(menu)
+        return self.probes[menu]
+
+
 def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
     """Per requested axiom, the corpus report merged by
     ``axioms.merge_reports`` and the list of every per-instance witness.
-    Each corpus menu is chosen from once; products, continuity's moved
-    menus and identity probes are chosen afresh."""
+    Each corpus menu and each identity probe is chosen from once;
+    products and continuity's moved menus are chosen afresh."""
     menus = [m for _, m in labeled_menus]
     rule = _CorpusChoices(rule, menus)
+    probing = _ProbeChoices(rule)
     per_menu = {
         "neutrality": lambda m, mid: axioms.neutrality_epsilon(rule, m, tol=tol, menu_id=mid),
         "positivity": lambda m, mid: axioms.positivity_check(rule, m, menu_id=mid),
         "continuity": lambda m, mid: axioms.continuity_probe(rule, m, menu_id=mid),
         "identity": lambda m, mid: axioms.cross_menu_identity_epsilon(
-            rule, m, tol=tol, menu_id=mid
+            probing, m, tol=tol, menu_id=mid
         ),
     }
     reports = {}

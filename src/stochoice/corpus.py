@@ -21,6 +21,7 @@ from .spaces import (
     VECTOR,
     Outcome,
     Space,
+    json_int,
 )
 
 # with this probability the last action of a menu duplicates an earlier
@@ -48,11 +49,11 @@ class CorpusSpec:
         lo, hi = data.get("actions_per_menu", [2, 5])
         return CorpusSpec(
             space=Space.from_json(data["space"]),
-            menu_count=int(data["menu_count"]),
-            actions_min=int(lo),
-            actions_max=int(hi),
+            menu_count=json_int(data["menu_count"], "menu_count"),
+            actions_min=json_int(lo, "actions_per_menu"),
+            actions_max=json_int(hi, "actions_per_menu"),
             sampler=dict(data.get("outcome_sampler", {})),
-            seed=int(data.get("seed", 0)),
+            seed=json_int(data.get("seed", 0), "seed"),
         )
 
 

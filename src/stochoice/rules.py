@@ -20,13 +20,15 @@ from scipy.special import gammaln, log_ndtr
 
 from .menus import ActionId, Menu, action_str, canonical_key, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
-from .spaces import SCALAR, SpaceMismatchError, Utility, evaluate, sort_and_cut
+from .spaces import SCALAR, SpaceMismatchError, Utility, evaluate, json_int, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
 ARGMAX_TIE_TOL = 1e-12
 # relative tolerance of each diagonal integral in IARU.log_diagonal
 DIAGONAL_RTOL = 1e-10
+# IARU's default absolute tolerance on its summed group masses
+QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ class IARU(Rule):
     """
 
     shock: ShockSpec
-    quad_tol: float = 1e-10
+    quad_tol: float = QUAD_TOL
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         vals = _scalar_values(menu)
@@ -359,7 +361,7 @@ def _log_integral(shock: ShockSpec, shifts: np.ndarray, log_mult: np.ndarray) ->
     return g_max + math.log(value)
 
 
-def probit(sigma: float = 1.0, quad_tol: float = 1e-10) -> IARU:
+def probit(sigma: float = 1.0, quad_tol: float = QUAD_TOL) -> IARU:
     return IARU(GaussianShock(sigma), quad_tol)
 
 
@@ -452,6 +454,8 @@ def rule_to_json(rule: Rule) -> dict:
     if isinstance(rule, GeneralMNL):
         return {"type": "general_mnl", "utility": rule.utility.to_json()}
     if isinstance(rule, IARU):
+        if rule.quad_tol != QUAD_TOL:
+            raise ValueError(f"IARU with quad_tol {rule.quad_tol!r} has no JSON encoding")
         if isinstance(rule.shock, GaussianShock):
             shock = {"kind": "gaussian", "param": rule.shock.sigma}
         else:
@@ -490,5 +494,6 @@ def rule_from_json(data: dict) -> Rule:
     if kind == "uniform":
         return Uniform()
     if kind == "perturbed":
-        return Perturbed(rule_from_json(data["base"]), float(data["delta"]), int(data["seed"]))
+        seed = json_int(data["seed"], "seed")
+        return Perturbed(rule_from_json(data["base"]), float(data["delta"]), seed)
     raise ValueError(f"unknown rule type: {kind!r}")

@@ -1,11 +1,10 @@
 """Outcome spaces and their additive utility functionals.
 
 Six concrete spaces share one interface: a binary composition for
-combining outcomes of unrelated actions, an identity element, a
-compensation construction that bridges any two outcomes where the
-space permits it, and a feature map phi that is additive over
-composition (``phi(x*y) = phi(x) + phi(y)``).  Every utility is
-``coeffs . phi(x)``, so it is additive as well.
+combining outcomes of unrelated actions, an identity element, and a
+feature map phi that is additive over composition
+(``phi(x*y) = phi(x) + phi(y)``).  Every utility is ``coeffs . phi(x)``,
+so it is additive as well.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ KINDS = (SCALAR, VECTOR, MEAN_STDDEV, DISTRIBUTION, PRIZE_STREAM, MATRIX)
 # support points collide when |p - q| <= MERGE_RTOL * max(1, |p|, |q|)
 MERGE_RTOL = 1e-12
 PROB_SUM_TOL = 1e-12
-MATRIX_COND_LIMIT = 1e12
 
 # default outcome-equality tolerance; prize streams compare exactly
 EQUALITY_TOL = 1e-9
@@ -38,11 +36,6 @@ EQUALITY_TOL = 1e-9
 class SpaceMismatchError(ValueError):
     def __init__(self) -> None:
         super().__init__("incompatible outcome spaces")
-
-
-class NoCompensationError(ValueError):
-    def __init__(self) -> None:
-        super().__init__("no compensating outcome")
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,12 +103,25 @@ class Space:
     def from_json(data: dict) -> "Space":
         kind = data["kind"]
         if kind in (VECTOR, MATRIX):
-            return Space(kind, d=int(data["d"]))
+            return Space(kind, d=json_int(data["d"], "d"))
         if kind == DISTRIBUTION:
-            return Space(kind, moment_order=int(data["moment_order"]))
+            return Space(kind, moment_order=json_int(data["moment_order"], "moment_order"))
         if kind == PRIZE_STREAM:
-            return Space(kind, alphabet=tuple(data["alphabet"]))
+            alphabet = data["alphabet"]
+            if not (isinstance(alphabet, list) and all(isinstance(p, str) for p in alphabet)):
+                raise ValueError(f"alphabet must be a list of strings, got {alphabet!r}")
+            return Space(kind, alphabet=tuple(alphabet))
         return Space(kind)
+
+
+def json_int(value, name: str) -> int:
+    """An integer JSON field: an int, or an integral float such as 3.0.
+    A bool, a string or any other number raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _points_collide(p: float, q: float) -> bool:
@@ -249,94 +255,6 @@ def identity(space: Space) -> Outcome:
     if kind == PRIZE_STREAM:
         return Outcome(space, ())
     return Outcome(space, tuple(map(tuple, np.eye(space.d))))
-
-
-Side = Literal["left", "right"]
-
-
-def compensate(x: Outcome, x2: Outcome) -> tuple[Side, Outcome]:
-    """Find s with x2 = s*x (left) or s' with x = s'*x2 (right).
-
-    Group-like spaces always succeed on the left.  Mean-stddev pairs
-    pick the side with the larger stddev; prize streams succeed only
-    when one stream is a suffix of the other; distributions succeed
-    only when an exact finite deconvolution exists.
-    """
-    if x.space != x2.space:
-        raise SpaceMismatchError()
-    kind = x.space.kind
-    if kind == SCALAR:
-        return "left", Outcome(x.space, x2.value - x.value)
-    if kind == VECTOR:
-        return "left", Outcome(x.space, tuple(b - a for a, b in zip(x.value, x2.value)))
-    if kind == MEAN_STDDEV:
-        (m, s), (m2, s2) = x.value, x2.value
-        if s2 >= s:
-            return "left", Outcome(x.space, (m2 - m, math.sqrt((s2 - s) * (s2 + s))))
-        return "right", Outcome(x.space, (m - m2, math.sqrt((s - s2) * (s + s2))))
-    if kind == DISTRIBUTION:
-        left = _deconvolve(x2.value, x.value)
-        if left is not None:
-            return "left", Outcome(x.space, left)
-        right = _deconvolve(x.value, x2.value)
-        if right is not None:
-            return "right", Outcome(x.space, right)
-        raise NoCompensationError()
-    if kind == PRIZE_STREAM:
-        n, n2 = len(x.value), len(x2.value)
-        if n <= n2 and x2.value[n2 - n:] == x.value:
-            return "left", Outcome(x.space, x2.value[: n2 - n])
-        if n2 <= n and x.value[n - n2:] == x2.value:
-            return "right", Outcome(x.space, x.value[: n - n2])
-        raise NoCompensationError()
-    mat = np.array(x.value)
-    if np.linalg.cond(mat) > MATRIX_COND_LIMIT:
-        raise ValueError("matrix too ill-conditioned to invert (cond > 1e12)")
-    s = np.array(x2.value) @ np.linalg.inv(mat)
-    return "left", Outcome(x.space, tuple(map(tuple, s)))
-
-
-def _deconvolve(target, known):
-    """Solve target = s (*) known for finite distributions, or None.
-
-    Polynomial-long-division over the support: the lowest remaining
-    point of the residual must come from pairing the lowest point of
-    ``known`` with a new point of s.
-    """
-    known = sorted(known)
-    k0, w0 = known[0]
-    residual = {p: w for p, w in target}
-    s_pairs: list[tuple[float, float]] = []
-    for _ in range(len(target)):
-        if not residual:
-            break
-        u = min(residual)
-        w = residual[u] / w0
-        if w <= 0:
-            return None
-        c = u - k0
-        s_pairs.append((c, w))
-        for p, wp in known:
-            shifted = c + p
-            hit = None
-            for q in residual:
-                if _points_collide(q, shifted):
-                    hit = q
-                    break
-            if hit is None:
-                return None
-            residual[hit] -= w * wp
-            if abs(residual[hit]) <= MERGE_RTOL * max(1.0, w * wp):
-                del residual[hit]
-            elif residual[hit] < 0:
-                return None
-    if residual:
-        return None
-    total = math.fsum(w for _, w in s_pairs)
-    if abs(total - 1.0) > 1e-9:
-        return None
-    # absorb residual rounding so the result validates as a distribution
-    return tuple((p, w / total) for p, w in s_pairs)
 
 
 @dataclass(frozen=True, slots=True)

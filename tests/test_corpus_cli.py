@@ -91,6 +91,23 @@ class TestCorpusGeneration:
         for m in generate_corpus(spec):
             assert all(o.value.is_integer() for _, o in m.entries)
 
+    def test_integral_floats_load_as_integers(self):
+        spec = CorpusSpec.from_json(
+            {
+                "space": {"kind": "real_vector", "d": 2.0},
+                "menu_count": 3.0,
+                "actions_per_menu": [2.0, 4],
+                "seed": 5.0,
+            }
+        )
+        assert spec == CorpusSpec(Space.vector(2), 3, 2, 4, seed=5)
+        assert all(type(v) is int for v in (spec.space.d, spec.menu_count, spec.seed))
+        assert Space.from_json({"kind": "discrete_distribution", "moment_order": 3.0}) == (
+            Space.distribution(3)
+        )
+        rule = {"type": "perturbed", "base": {"type": "uniform"}, "delta": 0.1, "seed": 3.0}
+        assert type(rule_from_json(rule).seed) is int
+
     def test_pair_sampling_deterministic(self):
         menus = generate_corpus(CorpusSpec(Space.scalar(), 10, seed=1))
         p1 = sample_pairs(menus, 7, 4)
@@ -538,6 +555,24 @@ class TestExitCodes:
                     "actions": [{"id": "(a,bc", "outcome": 0}, {"id": "b", "outcome": 1}],
                 },
             ),
+            "count_float": write(
+                tmp_path / "count_float.json", {"space": scalar_space, "menu_count": 2.7}
+            ),
+            "count_bool": write(
+                tmp_path / "count_bool.json", {"space": scalar_space, "menu_count": True}
+            ),
+            "range_float": write(
+                tmp_path / "range_float.json",
+                {"space": scalar_space, "menu_count": 2, "actions_per_menu": [2.9, 5.5]},
+            ),
+            "seed_float": write(
+                tmp_path / "seed_float.json",
+                {"space": scalar_space, "menu_count": 2, "seed": 3.9},
+            ),
+            "perturbed_seed_float": write(
+                tmp_path / "perturbed_seed_float.json",
+                {"type": "perturbed", "base": {"type": "uniform"}, "delta": 0.1, "seed": 3.7},
+            ),
             "out": str(tmp_path / "out"),
         }
 
@@ -590,6 +625,28 @@ class TestExitCodes:
         "check_nan_tol": ["check", "--rule", "mnl", "--menus", "three", "--tol", "NaN"],
         "check_negative_tol": ["check", "--rule", "mnl", "--menus", "three", "--tol", "-0.001"],
         "check_unbalanced_action_id": ["check", "--rule", "mnl", "--menus", "unbalanced_id"],
+        "check_menu_count_not_integral": ["check", "--rule", "uniform", "--corpus", "count_float"],
+        "check_menu_count_is_a_bool": ["check", "--rule", "uniform", "--corpus", "count_bool"],
+        "check_actions_per_menu_not_integral": [
+            "check", "--rule", "uniform", "--corpus", "range_float",
+        ],
+        "check_spec_seed_not_integral": ["check", "--rule", "uniform", "--corpus", "seed_float"],
+        "fit_vector_dimension_not_integral": [
+            "fit", "--rule", "uniform", "--space", '{"kind": "real_vector", "d": 2.5}',
+        ],
+        "fit_moment_order_not_integral": [
+            "fit", "--rule", "uniform", "--space",
+            '{"kind": "discrete_distribution", "moment_order": 2.5}',
+        ],
+        "fit_alphabet_is_a_string": [
+            "fit", "--rule", "uniform", "--space", '{"kind": "prize_stream", "alphabet": "gold"}',
+        ],
+        "fit_alphabet_has_a_number": [
+            "fit", "--rule", "uniform", "--space", '{"kind": "prize_stream", "alphabet": ["g", 1]}',
+        ],
+        "check_perturbed_seed_not_integral": [
+            "check", "--rule", "perturbed_seed_float", "--menus", "three",
+        ],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -730,3 +787,22 @@ class TestCheckSharesChoices:
         assert {m: chosen[m] for m in corpus} == dict(Counter(corpus))
         # products, continuity's moved menus and identity probes come on top
         assert sum(chosen.values()) > len(corpus)
+
+    def test_identity_probe_chosen_once(self, tmp_path, monkeypatch, capsys):
+        import stochoice.cli
+
+        chosen = Counter()
+
+        class Counted(Rule):
+            def __init__(self, rule):
+                self.rule = rule
+
+            def choose(self, menu):
+                chosen[menu] += 1
+                return self.rule.choose(menu)
+
+        load = stochoice.cli._load_rule
+        monkeypatch.setattr(stochoice.cli, "_load_rule", lambda path: Counted(load(path)))
+        self.run_check(tmp_path, "probit", capsys)
+        # every menu of the integer corpus has k = 1
+        assert chosen[unit_binary_menu()] == 1

@@ -403,3 +403,16 @@ class TestRuleJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             rule_from_json({"type": "nested_logit"})
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            IARU(GaussianShock(1.0), quad_tol=1e-6),
+            Perturbed(probit(quad_tol=1e-6), 0.05, 7),
+        ],
+        ids=["iaru", "perturbed_iaru"],
+    )
+    def test_non_default_quad_tol_has_no_encoding(self, rule):
+        # the JSON form carries no tolerance and would reload at 1e-10
+        with pytest.raises(ValueError, match="quad_tol"):
+            rule_to_json(rule)

@@ -6,13 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochoice import (
-    NoCompensationError,
     Outcome,
     Space,
     SpaceMismatchError,
     Utility,
     basis_probes,
-    compensate,
     compose,
     cumulants,
     evaluate,
@@ -129,80 +127,6 @@ def test_utility_additive_over_composition(space, strategy):
         lhs = evaluate(u, compose(x, y))
         rhs = evaluate(u, x) + evaluate(u, y)
         assert abs(lhs - rhs) <= 1e-9
-
-    run()
-
-
-class TestCompensate:
-    def test_scalar_worked_example(self):
-        side, s = compensate(scalar(-17.0), scalar(42.0))
-        assert side == "left"
-        assert s.value == 59.0
-
-    def test_mean_stddev_from_identity(self):
-        space = Space.mean_stddev()
-        side, s = compensate(
-            Outcome(space, (0.0, 0.0)), Outcome(space, (4.99, 2.000625))
-        )
-        assert side == "left"
-        assert s.value == pytest.approx((4.99, 2.000625))
-
-    def test_mean_stddev_right_branch(self):
-        space = Space.mean_stddev()
-        x = Outcome(space, (1.0, 3.0))
-        x2 = Outcome(space, (4.0, 1.0))
-        side, s = compensate(x, x2)
-        assert side == "right"
-        assert outcomes_equal(compose(s, x2), x, 1e-10)
-
-    def test_matrix(self):
-        space = Space.matrix(2)
-        side, s = compensate(identity(space), Outcome(space, ((2.0, 0.0), (0.0, 3.0))))
-        assert side == "left"
-        assert s.value == ((2.0, 0.0), (0.0, 3.0))
-
-    def test_stream_suffix_and_failure(self):
-        space = Space.prizes(("a", "b"))
-        side, s = compensate(Outcome(space, ("b",)), Outcome(space, ("a", "b")))
-        assert side == "left" and s.value == ("a",)
-        side, s = compensate(Outcome(space, ("a", "b")), Outcome(space, ("b",)))
-        assert side == "right" and s.value == ("a",)
-        with pytest.raises(NoCompensationError):
-            compensate(Outcome(space, ("a",)), Outcome(space, ("b",)))
-
-    def test_distribution_deconvolution(self):
-        space = Space.distribution(2)
-        x = Outcome(space, ((0.0, 0.25), (1.0, 0.75)))
-        s = Outcome(space, ((0.0, 0.5), (2.0, 0.5)))
-        side, found = compensate(x, compose(s, x))
-        assert side == "left"
-        assert outcomes_equal(found, s, 1e-9)
-
-    def test_distribution_no_compensation(self):
-        space = Space.distribution(2)
-        x = Outcome(space, ((0.0, 0.5), (1.0, 0.5)))
-        x2 = Outcome(space, ((0.0, 0.9), (1.0, 0.1)))
-        with pytest.raises(NoCompensationError):
-            compensate(x, x2)
-
-
-@pytest.mark.parametrize(
-    "space,strategy",
-    [
-        (Space.scalar(), scalar_outcomes()),
-        (Space.vector(3), vector_outcomes(3)),
-        (Space.mean_stddev(), mean_stddev_outcomes()),
-        (Space.matrix(2), matrix_outcomes(2)),
-    ],
-)
-def test_compensation_soundness(space, strategy):
-    @given(strategy, strategy)
-    def run(x, x2):
-        side, s = compensate(x, x2)
-        if side == "left":
-            assert outcomes_equal(compose(s, x), x2, 1e-10)
-        else:
-            assert outcomes_equal(compose(s, x2), x, 1e-10)
 
     run()
 

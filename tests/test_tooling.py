@@ -1,9 +1,11 @@
 """The benchmark's tracer (``benchmark/tracing.py``) wraps stochoice's
 public functions by rebinding their names after a fresh import.  This
 runs it in a new interpreter on one ``check`` so that renaming or
-unbinding a wrapped name fails the test suite, not only the benchmark."""
+unbinding a wrapped name fails the test suite, not only the benchmark.
+The README's library tour runs here as well, for the same reason."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +81,12 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
+
+
+def test_readme_library_tour_runs():
+    # the tour is the README's one python block; a name it uses that the
+    # library no longer has fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
