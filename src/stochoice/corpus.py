@@ -7,6 +7,7 @@ are byte-reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -63,7 +64,12 @@ def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
     high = params.get("high", 3.0)
     if kind == SCALAR:
         if params.get("integer"):
-            return Outcome(space, float(rng.randint(int(low), int(high))))
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValueError("integer sampler bounds must be finite")
+            lo, hi = math.ceil(low), math.floor(high)
+            if lo > hi:
+                raise ValueError(f"no integer lies in [{low}, {high}]")
+            return Outcome(space, float(rng.randint(lo, hi)))
         return Outcome(space, rng.uniform(low, high))
     if kind == VECTOR:
         return Outcome(space, tuple(rng.uniform(low, high) for _ in range(space.d)))

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .axioms import effective_neutrality_epsilon, power_diagonal_log
-from .menus import Menu, action_str, unit_binary_menu
+from .menus import Menu, unit_binary_menu
 from .rules import ChoiceDistribution, Rule
 from .spaces import (
     Outcome,
@@ -244,7 +244,7 @@ def certify_closeness(
     if np.max(np.abs(rebuilt - probs)) > RECONSTRUCTION_TOL:
         raise RuntimeError("certificate reconstruction check failed")
     shocks = tuple(
-        (mid, {action_str(a): float(v) for a, v in zip(menu.actions, s[i:])})
+        (mid, {a: float(v) for a, v in zip(menu.ids, s[i:])})
         for mid, menu, i in zip(menu_ids, corpus, first)
     )
     delta = float(np.max(r[top] - r[bottom]) / 2.0)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Union
 
 import numpy as np
@@ -40,9 +40,9 @@ _ACTION_TOKENS = re.compile(r"[(),]|[^(),]+")
 _OPEN = object()
 
 
-@lru_cache(maxsize=None)
 def action_str(a: ActionId) -> str:
-    """Injective serialization: atoms verbatim, pairs as "(left,right)"."""
+    """Injective serialization: atoms verbatim, pairs as "(left,right)".
+    A menu's own ids are serialized once and kept in ``Menu.ids``."""
     if isinstance(a, str):
         return a
     left, right = a
@@ -92,6 +92,8 @@ class Menu:
 
     space: Space
     entries: tuple[tuple[ActionId, Outcome], ...]
+    # each action's action_str, aligned with entries; see ``ids``
+    _ids: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple((a, o) for a, o in self.entries))
@@ -113,6 +115,17 @@ class Menu:
     def actions(self) -> tuple[ActionId, ...]:
         return tuple(a for a, _ in self.entries)
 
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Each action's ``action_str``, aligned with ``entries``.
+
+        Product and JSON menus get them from their factors' ids or their
+        file; any other menu serializes its actions on first use.  They
+        live as long as the menu, and nothing is cached across menus."""
+        if self._ids is None:
+            object.__setattr__(self, "_ids", tuple(action_str(a) for a, _ in self.entries))
+        return self._ids
+
     def outcome_of(self, a: ActionId) -> Outcome:
         for aid, o in self.entries:
             if aid == a:
@@ -123,19 +136,24 @@ class Menu:
         return {
             "space": self.space.to_json(),
             "actions": [
-                {"id": action_str(a), "outcome": outcome_to_json(o)}
-                for a, o in self.entries
+                {"id": s, "outcome": outcome_to_json(o)}
+                for s, (_, o) in zip(self.ids, self.entries)
             ],
         }
 
     @staticmethod
     def from_json(data: dict) -> "Menu":
         space = Space.from_json(data["space"])
+        ids = tuple(item["id"] for item in data["actions"])
         entries = tuple(
-            (action_from_str(item["id"]), outcome_from_json(space, item["outcome"]))
-            for item in data["actions"]
+            (action_from_str(s), outcome_from_json(space, item["outcome"]))
+            for s, item in zip(ids, data["actions"])
         )
-        return Menu(space, entries)
+        menu = Menu(space, entries)
+        # action_from_str reads only what action_str writes, so each
+        # string read is its action's id
+        object.__setattr__(menu, "_ids", ids)
+        return menu
 
 
 def menu_of(space: Space, assignments: dict) -> Menu:
@@ -152,13 +170,14 @@ def unit_binary_menu() -> Menu:
     return scalar_menu({"b0": 0.0, "b1": 1.0})
 
 
-def _trusted_menu(space: Space, entries: tuple) -> Menu:
+def _trusted_menu(space: Space, entries: tuple, ids: tuple) -> Menu:
     # bypass __post_init__ for entries whose invariants hold by
     # construction; re-validating 10^6-action power menus dominates their
     # build time otherwise
     m = object.__new__(Menu)
     object.__setattr__(m, "space", space)
     object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "_ids", ids)
     return m
 
 
@@ -174,7 +193,8 @@ def product(m1: Menu, m2: Menu) -> Menu:
     entries = tuple(
         ((a1, a2), compose(o1, o2)) for a1, o1 in m1.entries for a2, o2 in m2.entries
     )
-    return _trusted_menu(m1.space, entries)
+    ids = tuple(f"({s1},{s2})" for s1 in m1.ids for s2 in m2.ids)
+    return _trusted_menu(m1.space, entries, ids)
 
 
 def power(m: Menu, n: int) -> Menu:
@@ -235,7 +255,9 @@ def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
     """Header and sorted body of the canonical encoding."""
     space = menu.space
     head = f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}#"
-    return head, sorted(f"{action_str(a)}={canonical_value(o)}" for a, o in menu.entries)
+    return head, sorted(
+        f"{s}={canonical_value(o)}" for s, (_, o) in zip(menu.ids, menu.entries)
+    )
 
 
 def canonical_key(menu: Menu) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -381,7 +380,7 @@ class Tabular(Rule):
         table = {}
         for menu, probs in entries:
             named = {action_str(a): float(p) for a, p in probs.items()}
-            if set(named) != {action_str(a) for a in menu.actions}:
+            if set(named) != set(menu.ids):
                 raise ValueError("tabular distribution must cover the menu's actions")
             table[canonical_key(menu)] = named
         return Tabular(table, fallback if fallback is not None else Uniform())
@@ -390,7 +389,7 @@ class Tabular(Rule):
         row = self.table.get(canonical_key(menu))
         if row is None:
             return self.fallback.choose(menu)
-        return ChoiceDistribution({a: row[action_str(a)] for a in menu.actions})
+        return ChoiceDistribution({a: row[s] for a, s in zip(menu.actions, menu.ids)})
 
 
 _M64 = (1 << 64) - 1
@@ -403,9 +402,8 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _M64
 
 
-@lru_cache(maxsize=None)
-def _action_hash(a: ActionId) -> int:
-    digest = hashlib.blake2b(action_str(a).encode(), digest_size=8).digest()
+def _action_hash(s: str) -> int:
+    digest = hashlib.blake2b(s.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -428,18 +426,22 @@ class Perturbed(Rule):
             raise ValueError("delta must be nonnegative")
 
     def shock(self, menu: Menu, a: ActionId) -> float:
-        return self._shock(menu_hash(menu), a)
+        return self._shocks(menu, (action_str(a),))[0]
 
-    def _shock(self, mhash: int, a: ActionId) -> float:
-        z = _splitmix64(_splitmix64((self.seed & _M64) ^ mhash) ^ _action_hash(a))
-        return self.delta * (2.0 * (z / 2.0**64) - 1.0)
+    def _shocks(self, menu: Menu, ids: tuple[str, ...]) -> list[float]:
+        """The shocks of the actions with these id strings in the menu:
+        one splitmix64 of the seed and menu hash for the menu, then one
+        blake2b of the id and one splitmix64 per action."""
+        key = _splitmix64((self.seed & _M64) ^ menu_hash(menu))
+        delta = self.delta
+        return [delta * (2.0 * (_splitmix64(key ^ _action_hash(s)) / 2.0**64) - 1.0) for s in ids]
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
-        base = self.base.choose(menu)
-        mhash = menu_hash(menu)
+        probs = self.base.choose(menu).probs
+        actions = menu.actions
         weighted = {
-            a: p * math.exp(self._shock(mhash, a)) if p > 0 else 0.0
-            for a, p in base.items()
+            a: p * math.exp(s) if p > 0 else 0.0
+            for a, p, s in zip(actions, [probs[a] for a in actions], self._shocks(menu, menu.ids))
         }
         total = math.fsum(weighted.values())
         return ChoiceDistribution({a: w / total for a, w in weighted.items()})

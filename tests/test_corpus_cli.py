@@ -91,6 +91,23 @@ class TestCorpusGeneration:
         for m in generate_corpus(spec):
             assert all(o.value.is_integer() for _, o in m.entries)
 
+    @pytest.mark.parametrize(
+        "low, high, drawn", [(0.5, 2.5, {1.0, 2.0}), (-2.5, -0.5, {-2.0, -1.0}), (1, 1, {1.0})]
+    )
+    def test_integer_sampler_stays_within_bounds(self, low, high, drawn):
+        sampler = {"integer": True, "low": low, "high": high}
+        spec = CorpusSpec(Space.scalar(), 100, sampler=sampler, seed=4)
+        assert {o.value for m in generate_corpus(spec) for _, o in m.entries} == drawn
+
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [(0.2, 0.8, "no integer"), (-math.inf, 2, "finite"), (0, math.nan, "finite")],
+    )
+    def test_integer_sampler_needs_an_integer_in_range(self, low, high, message):
+        sampler = {"integer": True, "low": low, "high": high}
+        with pytest.raises(ValueError, match=message):
+            generate_corpus(CorpusSpec(Space.scalar(), 3, sampler=sampler))
+
     def test_integral_floats_load_as_integers(self):
         spec = CorpusSpec.from_json(
             {
@@ -569,6 +586,11 @@ class TestExitCodes:
                 tmp_path / "seed_float.json",
                 {"space": scalar_space, "menu_count": 2, "seed": 3.9},
             ),
+            "int_range_empty": write(
+                tmp_path / "int_range_empty.json",
+                {"space": scalar_space, "menu_count": 2,
+                 "outcome_sampler": {"integer": True, "low": 0.2, "high": 0.8}},
+            ),
             "perturbed_seed_float": write(
                 tmp_path / "perturbed_seed_float.json",
                 {"type": "perturbed", "base": {"type": "uniform"}, "delta": 0.1, "seed": 3.7},
@@ -643,6 +665,9 @@ class TestExitCodes:
         ],
         "fit_alphabet_has_a_number": [
             "fit", "--rule", "uniform", "--space", '{"kind": "prize_stream", "alphabet": ["g", 1]}',
+        ],
+        "check_integer_sampler_range_empty": [
+            "check", "--rule", "uniform", "--corpus", "int_range_empty",
         ],
         "check_perturbed_seed_not_integral": [
             "check", "--rule", "perturbed_seed_float", "--menus", "three",

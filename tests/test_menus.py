@@ -20,6 +20,7 @@ from stochoice import (
     power,
     product,
     scalar_menu,
+    unit_binary_menu,
 )
 
 from conftest import PRIZES
@@ -168,6 +169,52 @@ class TestActionIds:
             Menu(space, (("a", Outcome(space, 1.0)), ("a", Outcome(space, 2.0))))
 
 
+# small scalar menus with labels drawn from a few letters (the empty
+# label included), nested by product and power up to about 10^3 actions
+_labels = st.text("abxy", max_size=2)
+_leaves = st.dictionaries(_labels, st.integers(-3, 3).map(float), min_size=1, max_size=3).map(
+    scalar_menu
+)
+
+
+def _nest(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda p: product(*p)),
+        st.tuples(children, st.integers(1, 3)).map(lambda p: power(*p)),
+    )
+
+
+nested_menus = st.recursive(_leaves, _nest, max_leaves=3)
+
+
+class TestIds:
+    @given(nested_menus)
+    def test_ids_serialize_the_actions(self, menu):
+        expected = tuple(map(action_str, menu.actions))
+        assert menu.ids == expected
+        back = Menu.from_json(json.loads(json.dumps(menu.to_json())))
+        assert back.ids == expected
+        assert Menu(menu.space, menu.entries).ids == expected
+
+    @given(nested_menus, nested_menus)
+    def test_three_constructions_are_one_menu(self, m1, m2):
+        built = product(m1, m2)
+        read = Menu.from_json(built.to_json())
+        constructed = Menu(built.space, built.entries)
+        assert built == read == constructed
+        assert hash(built) == hash(read) == hash(constructed)
+        assert {built: "x"}[read] == {read: "x"}[constructed] == "x"
+        assert menu_hash(built) == menu_hash(read) == menu_hash(constructed)
+        assert repr(built) == repr(constructed)
+
+    def test_ids_are_not_a_field(self):
+        m = product(scalar_menu({"a": 0.0}), scalar_menu({"b": 1.0}))
+        assert m.ids == ("(a,b)",)
+        assert "(a,b)" not in repr(m)
+        with pytest.raises(TypeError):
+            Menu(m.space, m.entries, ("(a,b)",))
+
+
 class TestJson:
     @pytest.mark.parametrize(
         "menu",
@@ -267,3 +314,21 @@ def test_canonical_encoding_is_pinned(name):
     assert menu_hash(menu) == digest
     rule = Perturbed(MNL(1.0), 0.05, 7)
     assert tuple(rule.shock(menu, a) for a in menu.actions) == shocks
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + ["power"])
+def test_choose_applies_the_pinned_shocks(name):
+    # choose and shock share one shock path: each probability is the base
+    # probability times exp(shock), over the exact sum of those terms
+    import math
+
+    from stochoice import MNL, Perturbed, Uniform
+
+    menu = power(unit_binary_menu(), 6) if name == "power" else _golden_menus()[name]
+    base_rule = MNL(1.0) if menu.space == Space.scalar() else Uniform()
+    rule = Perturbed(base_rule, 0.05, 7)
+    base = base_rule.choose(menu)
+    terms = {a: base[a] * math.exp(rule.shock(menu, a)) for a in menu.actions}
+    total = math.fsum(terms.values())
+    dist = rule.choose(menu)
+    assert [dist[a] for a in menu.actions] == [terms[a] / total for a in menu.actions]

@@ -362,6 +362,27 @@ class TestPerturbed:
         dist = Perturbed(MNL(math.inf), 0.1, 3).choose(menu)
         assert dist["a"] == 0.0 and dist["b"] == 1.0
 
+    def test_choice_retains_nothing(self):
+        # id strings live with their menu; no process-wide cache keeps
+        # the ids or hashes of a menu that is gone
+        import gc
+        import tracemalloc
+
+        rule = Perturbed(MNL(1.0), 0.05, 7)
+        rule.choose(power(UNIT, 3))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            menu = power(unit_binary_menu(), 14)
+            dist = rule.choose(menu)
+            del menu, dist
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 1 << 20
+
 
 class TestChoiceDistribution:
     def test_rejects_negative(self):

@@ -66,6 +66,52 @@ def test_tracer_wraps_a_check(tmp_path):
         assert metrics[f"{name}.self_s"] > 0.0, name
 
 
+# the same traced run for any CLI argv, given as JSON
+TRACED_ARGV = """
+import json, sys
+sys.dont_write_bytecode = True
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import stochoice.cli
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+code = tracer.span("cli", stochoice.cli.main)(json.loads(sys.argv[3]))
+print(json.dumps({"code": code, "metrics": tracer.metrics()}))
+"""
+
+
+def test_upsilon_hashes_the_power_menu_once(tmp_path):
+    # Perturbed's shocks need the power menu's hash and each action's id
+    # string; both come from one pass over the menu
+    rule = tmp_path / "rule.json"
+    rule.write_text(
+        json.dumps({"type": "perturbed", "base": {"type": "mnl", "beta": 1.0},
+                    "delta": 0.05, "seed": 7}),
+        encoding="utf-8",
+    )
+    menu = tmp_path / "unit.json"
+    menu.write_text(
+        json.dumps({"space": {"kind": "real_scalar"},
+                    "actions": [{"id": "b0", "outcome": 0}, {"id": "b1", "outcome": 1}]}),
+        encoding="utf-8",
+    )
+    argv = ["upsilon", "--rule", str(rule), "--menus", str(menu), "--n-max", "10", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_ARGV, str(ROOT / "src"), str(ROOT / "benchmark"),
+         json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    metrics = result["metrics"]
+    assert metrics["menus.menu_hash.calls"] == 1
+    assert metrics["menus.actions_hashed"] == 1024
+    assert metrics["rules.choose.calls"] == 2
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize takes about 0.2 s to import; only the fits that
     # solve a linear program load it, inside the function that needs it.
