@@ -79,7 +79,7 @@ def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
         return Outcome(space, (rng.uniform(low, high), rng.uniform(sigma_low, sigma_high)))
     if kind == DISTRIBUTION:
         size_lo, size_hi = params.get("support_size", [1, 4])
-        k = rng.randint(size_lo, size_hi)
+        k = rng.randint(json_int(size_lo, "support_size"), json_int(size_hi, "support_size"))
         points: list[float] = []
         for _ in range(1000):
             if len(points) == k:
@@ -93,7 +93,10 @@ def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
         total = sum(weights)
         return Outcome(space, tuple((p, w / total) for p, w in zip(points, weights)))
     if kind == PRIZE_STREAM:
-        length = rng.randint(params.get("min_len", 0), params.get("max_len", 4))
+        length = rng.randint(
+            json_int(params.get("min_len", 0), "min_len"),
+            json_int(params.get("max_len", 4), "max_len"),
+        )
         return Outcome(space, tuple(rng.choice(space.alphabet) for _ in range(length)))
     min_det = params.get("min_abs_det", 1e-3)
     for _ in range(100):

@@ -20,7 +20,7 @@ from .spaces import (
     Outcome,
     Space,
     SpaceMismatchError,
-    compose,
+    _compose_all,
     equal_outcome_blocks,
     outcome_from_json,
     outcome_to_json,
@@ -190,9 +190,9 @@ def product(m1: Menu, m2: Menu) -> Menu:
         raise SpaceMismatchError()
     # pairs of distinct ids are distinct and compose preserves the space,
     # so the result needs no re-validation
-    entries = tuple(
-        ((a1, a2), compose(o1, o2)) for a1, o1 in m1.entries for a2, o2 in m2.entries
-    )
+    outcomes = _compose_all([o for _, o in m1.entries], [o for _, o in m2.entries])
+    pairs = ((a1, a2) for a1, _ in m1.entries for a2, _ in m2.entries)
+    entries = tuple(zip(pairs, outcomes))
     ids = tuple(f"({s1},{s2})" for s1 in m1.ids for s2 in m2.ids)
     return _trusted_menu(m1.space, entries, ids)
 

@@ -29,8 +29,13 @@ KINDS = (SCALAR, VECTOR, MEAN_STDDEV, DISTRIBUTION, PRIZE_STREAM, MATRIX)
 MERGE_RTOL = 1e-12
 PROB_SUM_TOL = 1e-12
 
+_NOT_FINITE = "outcome components must be finite"
+
 # default outcome-equality tolerance; prize streams compare exactly
 EQUALITY_TOL = 1e-9
+
+# padded terms per array pass of the lottery convolution
+_BLOCK = 1 << 12
 
 
 class SpaceMismatchError(ValueError):
@@ -124,8 +129,20 @@ def json_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _points_collide(p: float, q: float) -> bool:
-    return abs(p - q) <= MERGE_RTOL * max(1.0, abs(p), abs(q))
+def _points_collide(p, q):
+    """|p - q| <= MERGE_RTOL * max(1, |p|, |q|), elementwise on arrays.
+
+    Rounding is monotone, so comparing against each scaled term gives
+    the same answer as comparing against the scaled maximum."""
+    d = abs(p - q)
+    return (d <= MERGE_RTOL) | (d <= MERGE_RTOL * abs(p)) | (d <= MERGE_RTOL * abs(q))
+
+
+def _check_probs(weights: Sequence[float]) -> None:
+    if any(w <= 0 for w in weights):
+        raise ValueError("distribution probabilities must be positive")
+    if abs(math.fsum(weights) - 1.0) > PROB_SUM_TOL:
+        raise ValueError("distribution probabilities must sum to 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,11 +181,7 @@ class Outcome:
             for (p, w), (q, _) in zip(pairs, pairs[1:]):
                 if _points_collide(p, q):
                     raise ValueError("distribution support points must be distinct")
-            if any(w <= 0 for _, w in pairs):
-                raise ValueError("distribution probabilities must be positive")
-            total = math.fsum(w for _, w in pairs)
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ValueError("distribution probabilities must sum to 1")
+            _check_probs([w for _, w in pairs])
             object.__setattr__(self, "value", tuple(pairs))
         elif kind == PRIZE_STREAM:
             seq = tuple(v)
@@ -191,7 +204,15 @@ class Outcome:
         else:
             finite = all(map(math.isfinite, _flat(self)))
         if not finite:
-            raise ValueError("outcome components must be finite")
+            raise ValueError(_NOT_FINITE)
+
+
+def _trusted_outcome(space: Space, value) -> Outcome:
+    # bypass __post_init__ for a value that is valid by construction
+    x = object.__new__(Outcome)
+    object.__setattr__(x, "space", space)
+    object.__setattr__(x, "value", value)
+    return x
 
 
 def scalar(x: float) -> Outcome:
@@ -221,7 +242,7 @@ def compose(x: Outcome, y: Outcome) -> Outcome:
         (m1, s1), (m2, s2) = x.value, y.value
         return Outcome(x.space, (m1 + m2, math.hypot(s1, s2)))
     if kind == DISTRIBUTION:
-        return Outcome(x.space, _convolve(x.value, y.value))
+        return _compose_all((x,), (y,))[0]
     if kind == PRIZE_STREAM:
         return Outcome(x.space, x.value + y.value)
     # matrix product, order preserved
@@ -229,16 +250,127 @@ def compose(x: Outcome, y: Outcome) -> Outcome:
     return Outcome(x.space, tuple(map(tuple, prod)))
 
 
-def _convolve(xs, ys):
-    """All pairwise sums with multiplied probabilities, colliding points merged."""
-    sums = sorted((p + q, wp * wq) for p, wp in xs for q, wq in ys)
-    merged: list[list[float]] = []
-    for point, w in sums:
-        if merged and _points_collide(merged[-1][0], point):
-            merged[-1][1] += w
-        else:
-            merged.append([point, w])
-    return tuple((p, w) for p, w in merged)
+def _compose_all(xs: Sequence[Outcome], ys: Sequence[Outcome]) -> list[Outcome]:
+    """``x * y`` for every x in xs and y in ys, in row-major order.
+
+    All outcomes share one space, which the caller has checked.
+    Lotteries are convolved in array passes over blocks of at most
+    ``_BLOCK`` padded terms, unless a single pair exceeds it; any other
+    kind composes pair by pair.
+    """
+    space = xs[0].space
+    if space.kind != DISTRIBUTION:
+        return [compose(x, y) for x in xs for y in ys]
+    x_sizes = np.array([len(x.value) for x in xs])
+    y_rows, y_sizes = _padded(ys)
+    per_point = y_rows.shape[0] * y_rows.shape[1]  # padded terms of one x point
+    out: list[Outcome] = []
+    start = 0
+    while start < len(xs):
+        # as many whole rows as fit, or one row
+        widths = np.maximum.accumulate(x_sizes[start : start + max(1, _BLOCK // per_point)])
+        fits = widths * np.arange(1, len(widths) + 1) * per_point <= _BLOCK
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        x_rows, x_block_sizes = _padded(xs[start:stop])
+        # a row too large alone takes ys in slices; rows that fit
+        # together take all of ys at once, which keeps row-major order
+        step = max(1, _BLOCK // (x_rows.shape[0] * x_rows.shape[1] * y_rows.shape[1]))
+        for j in range(0, len(ys), step):
+            out += _convolve_rows(
+                space, x_rows, x_block_sizes, y_rows[j : j + step], y_sizes[j : j + step]
+            )
+        start = stop
+    return out
+
+
+def _padded(lotteries: Sequence[Outcome]) -> tuple[np.ndarray, np.ndarray]:
+    """Each lottery's (point, weight) pairs as one row, padded with
+    (inf, inf) to the largest support, and the support sizes."""
+    sizes = np.array([len(x.value) for x in lotteries])
+    rows = np.full((len(sizes), sizes.max(), 2), np.inf)
+    rows[np.arange(sizes.max()) < sizes[:, None]] = list(
+        chain.from_iterable(x.value for x in lotteries)
+    )
+    return rows, sizes
+
+
+# points may overflow to inf, as Python floats do silently; the
+# finiteness check rejects them
+@np.errstate(over="ignore", invalid="ignore")
+def _convolve_rows(
+    space: Space,
+    x_rows: np.ndarray,
+    x_sizes: np.ndarray,
+    y_rows: np.ndarray,
+    y_sizes: np.ndarray,
+) -> list[Outcome]:
+    """The convolution of every padded x row with every padded y row.
+
+    A pair's terms are ``(p + q, wp * wq)`` for p in x, q in y, sorted
+    stably by (point, weight); a term joins the open run when it collides
+    with the run's first point, and a run's weight is its terms added one
+    at a time in sorted order.  These are the floating-point operations,
+    in the same order, of a pairwise loop over Python tuples.
+    """
+    # axes (x row, y row, x point, y point): pairs in row-major order,
+    # each pair's terms in the order of ``for p in x for q in y``, with
+    # padding terms (inf, inf) sorting last
+    points = (x_rows[:, None, :, None, 0] + y_rows[None, :, None, :, 0]).reshape(
+        len(x_rows) * len(y_rows), -1
+    )
+    weights = (x_rows[:, None, :, None, 1] * y_rows[None, :, None, :, 1]).reshape(
+        points.shape
+    )
+    # complex order is lexicographic on (real, imag), and -0.0 ties 0.0
+    # as in tuple comparison
+    key = np.empty(points.shape, dtype=complex)
+    key.real, key.imag = points, weights
+    order = np.argsort(key, axis=1, kind="stable")
+    count = (x_sizes[:, None] * y_sizes).ravel()
+    real = np.arange(points.shape[1]) < count[:, None]
+    points = np.take_along_axis(points, order, 1)[real]
+    weights = np.take_along_axis(weights, order, 1)[real]
+
+    n = len(points)
+    head = np.zeros(n, dtype=bool)
+    head[np.cumsum(count) - count] = True
+    pair = np.cumsum(head)
+    # guess the runs from adjacent collisions, then correct each pair's
+    # earliest term that disagrees with its open run until none does:
+    # a chain of close points may spread past MERGE_RTOL
+    opens = head.copy()
+    opens[1:] |= ~_points_collide(points[:-1], points[1:])
+    index = np.arange(n)
+    while True:
+        first = np.maximum.accumulate(np.where(opens, index, 0))
+        want = head.copy()
+        want[1:] |= ~_points_collide(points[first[:-1]], points[1:])
+        wrong = np.flatnonzero(want != opens)
+        if not wrong.size:
+            break
+        _, earliest = np.unique(pair[wrong], return_index=True)
+        opens[wrong[earliest]] = want[wrong[earliest]]
+
+    run = np.flatnonzero(opens)
+    length = np.diff(run, append=n)
+    run_points, run_weights = points[run], weights[run]
+    for k in range(1, int(length.max())):
+        live = np.flatnonzero(length > k)
+        run_weights[live] += weights[run[live] + k]
+
+    bounds = np.flatnonzero(head[run])
+    valid = np.logical_and.reduceat(
+        (run_weights > 0) & np.isfinite(run_points) & np.isfinite(run_weights), bounds
+    )
+    ws = run_weights.tolist()
+    spans = list(zip(bounds.tolist(), [*bounds[1:].tolist(), len(ws)]))
+    for ok, (a, b) in zip(valid.tolist(), spans):
+        if not ok or abs(math.fsum(ws[a:b]) - 1.0) > PROB_SUM_TOL:
+            # raise what Outcome would, in its order of checks
+            _check_probs(ws[a:b])
+            raise ValueError(_NOT_FINITE)
+    terms = list(zip(run_points.tolist(), ws))
+    return [_trusted_outcome(space, tuple(terms[a:b])) for a, b in spans]
 
 
 def identity(space: Space) -> Outcome:

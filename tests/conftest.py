@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from stochoice import IARU, MNL, GumbelShock, Outcome, Space, Utility
+from stochoice import IARU, MNL, GumbelShock, Menu, Outcome, Space, Utility
 
 hypothesis.settings.register_profile(
     "ci", max_examples=60, derandomize=True, deadline=None
@@ -103,3 +103,13 @@ def iaru_equals_mnl_probe(beta, menus, tol):
         for a in menu.actions:
             worst = max(worst, abs(di[a] - dm[a]))
     return worst <= tol, worst
+
+
+def grid_lottery_menu():
+    """Three lotteries on the support {0, 0.5, 1}, with weights that are
+    not dyadic, so sums of products round."""
+    space = Space.distribution(3)
+    weights = [(0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (0.25, 0.5, 0.25)]
+    return Menu(space, tuple(
+        (f"l{i}", Outcome(space, tuple(zip((0.0, 0.5, 1.0), w)))) for i, w in enumerate(weights)
+    ))

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -124,6 +125,29 @@ class TestCorpusGeneration:
         )
         rule = {"type": "perturbed", "base": {"type": "uniform"}, "delta": 0.1, "seed": 3.0}
         assert type(rule_from_json(rule).seed) is int
+
+    def test_integral_float_sampler_counts_load_as_integers(self):
+        # 2.0 reaches randint as 2, without the deprecated float randrange
+        lottery = CorpusSpec.from_json(
+            {
+                "space": {"kind": "discrete_distribution", "moment_order": 2},
+                "menu_count": 20,
+                "outcome_sampler": {"support_size": [2, 2.0]},
+            }
+        )
+        streams = CorpusSpec.from_json(
+            {
+                "space": {"kind": "prize_stream", "alphabet": ["g", "s"]},
+                "menu_count": 20,
+                "outcome_sampler": {"min_len": 2.0, "max_len": 2.0},
+            }
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lotteries = generate_corpus(lottery)
+            stream_menus = generate_corpus(streams)
+        assert {len(o.value) for m in lotteries for _, o in m.entries} == {2}
+        assert {len(o.value) for m in stream_menus for _, o in m.entries} == {2}
 
     def test_pair_sampling_deterministic(self):
         menus = generate_corpus(CorpusSpec(Space.scalar(), 10, seed=1))
@@ -530,6 +554,10 @@ class TestExitCodes:
             "space": {"kind": "discrete_distribution", "moment_order": 2},
             "menu_count": 3,
         }
+        streams = {
+            "space": {"kind": "prize_stream", "alphabet": ["g", "s"]},
+            "menu_count": 3,
+        }
         probit = {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}
         scalar_space = {"kind": "real_scalar"}
         lottery_space = {"kind": "discrete_distribution", "moment_order": 2}
@@ -590,6 +618,30 @@ class TestExitCodes:
                 tmp_path / "int_range_empty.json",
                 {"space": scalar_space, "menu_count": 2,
                  "outcome_sampler": {"integer": True, "low": 0.2, "high": 0.8}},
+            ),
+            "support_size_bool": write(
+                tmp_path / "support_size_bool.json",
+                {**lottery, "outcome_sampler": {"support_size": [True, 2]}},
+            ),
+            "support_size_float": write(
+                tmp_path / "support_size_float.json",
+                {**lottery, "outcome_sampler": {"support_size": [1, 2.5]}},
+            ),
+            "support_size_string": write(
+                tmp_path / "support_size_string.json",
+                {**lottery, "outcome_sampler": {"support_size": ["2", 2]}},
+            ),
+            "max_len_bool": write(
+                tmp_path / "max_len_bool.json",
+                {**streams, "outcome_sampler": {"max_len": True}},
+            ),
+            "min_len_float": write(
+                tmp_path / "min_len_float.json",
+                {**streams, "outcome_sampler": {"min_len": 0.5}},
+            ),
+            "max_len_string": write(
+                tmp_path / "max_len_string.json",
+                {**streams, "outcome_sampler": {"max_len": "2"}},
             ),
             "perturbed_seed_float": write(
                 tmp_path / "perturbed_seed_float.json",
@@ -672,6 +724,18 @@ class TestExitCodes:
         "check_perturbed_seed_not_integral": [
             "check", "--rule", "perturbed_seed_float", "--menus", "three",
         ],
+        "check_support_size_is_a_bool": [
+            "check", "--rule", "uniform", "--corpus", "support_size_bool",
+        ],
+        "check_support_size_not_integral": [
+            "check", "--rule", "uniform", "--corpus", "support_size_float",
+        ],
+        "check_support_size_is_a_string": [
+            "check", "--rule", "uniform", "--corpus", "support_size_string",
+        ],
+        "gen_max_len_is_a_bool": ["gen", "--spec", "max_len_bool", "--out", "out"],
+        "gen_min_len_not_integral": ["gen", "--spec", "min_len_float", "--out", "out"],
+        "gen_max_len_is_a_string": ["gen", "--spec", "max_len_string", "--out", "out"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

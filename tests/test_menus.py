@@ -1,5 +1,8 @@
+import gc
+import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -23,7 +26,7 @@ from stochoice import (
     unit_binary_menu,
 )
 
-from conftest import PRIZES
+from conftest import PRIZES, grid_lottery_menu
 
 
 def outcomes_of(menu):
@@ -332,3 +335,57 @@ def test_choose_applies_the_pinned_shocks(name):
     total = math.fsum(terms.values())
     dist = rule.choose(menu)
     assert [dist[a] for a in menu.actions] == [terms[a] / total for a in menu.actions]
+
+
+def _exact_digest(menu):
+    # menu_hash reads 12 significant digits; this reads every bit
+    return hashlib.sha256(repr([o.value for _, o in menu.entries]).encode()).hexdigest()
+
+
+# as computed by the pairwise convolution over Python tuples that
+# composition replaced: menu_hash, Perturbed(Uniform(), 0.05, 7) shocks of
+# the diagonal actions, and the exact digest
+COMPOSED_GOLDEN = {
+    "lottery": (
+        4,
+        5169581247309885749,
+        (-0.03910342475560994, -0.01638853891316047, -0.03615162064257208),
+        "f9a92eb461c38eec992ee58f00a5eb393403f3856e58a4b94a5026ce63e83245",
+    ),
+    "grid": (
+        5,
+        18342422014021587631,
+        None,
+        "e0c47915f95641660c241fbdcae612a5166a1bc945d685e600d12eb473910ed3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED_GOLDEN))
+def test_composed_lottery_digest_is_pinned(name):
+    from stochoice import Perturbed, Uniform
+
+    base = grid_lottery_menu() if name == "grid" else _golden_menus()[name]
+    n, digest, shocks, exact = COMPOSED_GOLDEN[name]
+    menu = power(base, n)
+    assert menu_hash(menu) == digest
+    assert _exact_digest(menu) == exact
+    if shocks is not None:
+        rule = Perturbed(Uniform(), 0.05, 7)
+        assert tuple(rule.shock(menu, diagonal_action(a, n)) for a in base.actions) == shocks
+
+
+def test_lottery_power_builds_in_bounded_memory():
+    # the largest step composes 6561 x 3 lotteries, about 10^6 terms: held
+    # at once they would add about 90 MB over the result; in blocks the
+    # excess is the freed n = 8 menu, about 14 MB
+    base = grid_lottery_menu()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        menu = power(base, 9)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(menu) == 19683
+    assert peak - retained < 30e6

@@ -1,11 +1,14 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from stochoice import (
+    Menu,
     Outcome,
     Space,
     SpaceMismatchError,
@@ -18,12 +21,17 @@ from stochoice import (
     identity,
     outcomes_equal,
     point_mass,
+    power,
+    product,
     scalar,
+    spaces,
 )
+from stochoice.spaces import MERGE_RTOL
 
 from conftest import (
     PRIZES,
     distribution_outcomes,
+    grid_lottery_menu,
     matrix_outcomes,
     mean_stddev_outcomes,
     scalar_outcomes,
@@ -295,3 +303,137 @@ class TestValidation:
     def test_utility_coeff_count(self):
         with pytest.raises(ValueError):
             Utility(Space.vector(3), (1.0, 2.0))
+
+
+# ---- lottery composition against the pairwise loop ------------------------
+
+LOTTERY_SPACE = Space.distribution(2)
+
+
+def _sequential_collide(p, q):
+    return abs(p - q) <= MERGE_RTOL * max(1.0, abs(p), abs(q))
+
+
+def _sequential_convolve(xs, ys):
+    """Pairwise convolution over Python tuples, term by term: all sums
+    with multiplied probabilities, sorted, each term merged into the open
+    run when it collides with the run's first point.  Lottery composition
+    must reproduce it bit for bit."""
+    sums = sorted((p + q, wp * wq) for p, wp in xs for q, wq in ys)
+    merged: list[list[float]] = []
+    for point, w in sums:
+        if merged and _sequential_collide(merged[-1][0], point):
+            merged[-1][1] += w
+        else:
+            merged.append([point, w])
+    return tuple((p, w) for p, w in merged)
+
+
+def _sequential_compose(x, y):
+    return Outcome(x.space, _sequential_convolve(x.value, y.value))
+
+
+def _exact(compute):
+    """Each outcome's exact repr (which tells -0.0 from 0.0), or the
+    message of the ValueError raised."""
+    try:
+        return [repr(o.value) for o in compute()]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _lottery(points, weights):
+    return Outcome(LOTTERY_SPACE, tuple(zip(points, weights)))
+
+
+# supports where sums collide exactly, chains of points spaced just over
+# the merge tolerance (whose sums chain past it), signed zeros, and points
+# whose sums overflow
+_grid = st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True).map(
+    lambda ks: [k / 2 for k in ks]
+)
+_chain = st.builds(
+    lambda start, gaps: [
+        start + s * MERGE_RTOL * max(1.0, abs(start)) / 10 for s in itertools.accumulate(gaps)
+    ],
+    st.sampled_from([0.0, -1.5e-12, 3e-13, 1000.0]),
+    st.lists(st.integers(11, 25), min_size=1, max_size=5),
+)
+_signed_zero = st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), min_size=1, max_size=3)
+_huge = st.lists(st.sampled_from([1e308, -1e308, 1.5e308, 1.0]), min_size=1, max_size=2)
+# equal weights, weights whose products underflow to 0, and sums that a
+# product pushes past PROB_SUM_TOL
+_weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1e-200]), st.floats(0.1, 1.0))
+
+
+@st.composite
+def _lotteries(draw):
+    points = draw(st.one_of(_grid, _chain, _signed_zero, _huge))
+    raw = draw(st.lists(_weight, min_size=len(points), max_size=len(points)))
+    weights = [w / sum(raw) for w in raw]
+    weights[0] += draw(st.sampled_from([0.0, 0.0, 9e-13, -9e-13]))
+    try:
+        return _lottery(points, weights)
+    except ValueError:
+        reject()
+
+
+def _lottery_menu(prefix, lotteries):
+    return Menu(LOTTERY_SPACE, tuple((f"{prefix}{i}", x) for i, x in enumerate(lotteries)))
+
+
+class TestLotteryComposition:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.lists(_lotteries(), min_size=1, max_size=5),
+        st.lists(_lotteries(), min_size=1, max_size=5),
+        st.sampled_from([1, 7, 64, spaces._BLOCK]),
+    )
+    # sums -1.5, -0.4, 0, 0.7, 1.1 (e-12): adjacent points collide, but
+    # 0.7 is past the tolerance from its run's first point -0.4
+    @example([_lottery([0.0, 1.1e-12, 2.2e-12], [0.3, 0.3, 0.4])],
+             [_lottery([0.0, -1.5e-12], [0.5, 0.5])], 1)
+    # -0.0 and 0.0 tie: the smaller weight sorts first and names the point
+    @example([_lottery([-0.0, 1.0], [0.5, 0.5])],
+             [_lottery([-0.0, -1.0], [0.25, 0.75]), _lottery([0.0, -1.0], [0.75, 0.25])], 1)
+    def test_product_matches_pairwise_convolution(self, xs, ys, block):
+        # small blocks split the product between rows of the left menu
+        with mock.patch.object(spaces, "_BLOCK", block):
+            got = _exact(lambda: [o for _, o in product(_lottery_menu("x", xs),
+                                                        _lottery_menu("y", ys)).entries])
+            pair = _exact(lambda: [compose(xs[-1], ys[0])])
+        assert got == _exact(lambda: [_sequential_compose(x, y) for x in xs for y in ys])
+        assert pair == _exact(lambda: [_sequential_compose(xs[-1], ys[0])])
+
+    def test_power_over_many_blocks(self):
+        base = grid_lottery_menu()
+        left = power(base, 5)
+        big = product(left, base)
+        terms = sum(len(x.value) * len(y.value) for _, x in left.entries for _, y in base.entries)
+        assert terms > 4 * spaces._BLOCK
+        assert [repr(o.value) for _, o in big.entries] == [
+            repr(_sequential_compose(x, y).value) for _, x in left.entries for _, y in base.entries
+        ]
+
+    def test_blocks_stay_bounded_on_either_side(self):
+        # a row too large for one block takes the right menu in slices
+        sizes = []
+        convolve_rows = spaces._convolve_rows
+
+        def spy(space, x_rows, x_sizes, y_rows, y_sizes):
+            sizes.append(x_rows[..., 0].size * y_rows[..., 0].size)
+            return convolve_rows(space, x_rows, x_sizes, y_rows, y_sizes)
+
+        big = power(grid_lottery_menu(), 6)
+        one = Menu(big.space, (("s", Outcome(big.space, ((0.0, 0.5), (0.25, 0.5)))),))
+        for left, right in ((one, big), (big, one)):
+            with mock.patch.object(spaces, "_convolve_rows", spy):
+                menu = product(left, right)
+            assert [repr(o.value) for _, o in menu.entries] == [
+                repr(_sequential_compose(x, y).value)
+                for _, x in left.entries
+                for _, y in right.entries
+            ]
+        assert len(sizes) > 2
+        assert max(sizes) <= spaces._BLOCK
+
