@@ -44,7 +44,7 @@ STRONG_NEUTRALITY = "strong_neutrality"
 CROSS_MENU_IDENTITY = "cross_menu_identity"
 
 DEFAULT_TOL = 1e-9
-DEFAULT_CONTINUITY_STEPS = (1e-2, 1e-4, 1e-6)
+CONTINUITY_STEPS = (1e-2, 1e-4, 1e-6)
 # the space kinds whose outcomes the continuity probe can perturb
 CONTINUITY_KINDS = (SCALAR, VECTOR)
 
@@ -196,27 +196,17 @@ def positivity_check(
     return AxiomReport(POSITIVITY, True, 0.0, None)
 
 
-def continuity_probe(
-    rule: Rule,
-    menu: Menu,
-    action: ActionId | None = None,
-    steps: tuple[float, ...] = DEFAULT_CONTINUITY_STEPS,
-    menu_id: str | None = None,
-) -> AxiomReport:
-    """Finite continuity probe: perturb one action's outcome by each step
-    and watch the choice-probability gap.
+def continuity_probe(rule: Rule, menu: Menu, menu_id: str | None = None) -> AxiomReport:
+    """Finite continuity probe: move the first action's outcome by each
+    of CONTINUITY_STEPS and watch the choice-probability gap.
 
     A probe can only falsify continuity: it flags a discontinuity when
-    the gap fails to shrink (ratio > 0.5) while the steps shrank by at
-    least 100x.  min_epsilon is the gap at the smallest step.
+    the gap fails to shrink (ratio > 0.5) while the steps shrink 10^4
+    times.  min_epsilon is the gap at the smallest step.
     """
     if menu.space.kind not in CONTINUITY_KINDS:
         raise ValueError("continuity probe unsupported for this space")
-    if action is None:
-        action = menu.actions[0]
-    decreasing = all(a > b for a, b in zip(steps, steps[1:]))
-    if not decreasing or steps[-1] < 1e-9:
-        raise ValueError("steps must be strictly decreasing and >= 1e-9")
+    action = menu.actions[0]
     base = rule.choose(menu)
 
     def gap(step: float) -> float:
@@ -231,17 +221,17 @@ def continuity_probe(
         moved = rule.choose(Menu(menu.space, tuple(entries)))
         return max(abs(moved[a] - base[a]) for a in menu.actions)
 
-    gaps = [gap(s) for s in steps]
+    gaps = [gap(s) for s in CONTINUITY_STEPS]
     eps = gaps[-1]
     if gaps[0] > 0.0:
         shrink = gaps[-1] / gaps[0]
     else:
         shrink = math.inf if gaps[-1] > 0.0 else 0.0
-    flagged = steps[0] / steps[-1] >= 100.0 and shrink > 0.5
+    flagged = shrink > 0.5
     witness = {
         "menu_id": menu_id,
         "action": action_str(action),
-        "steps": list(steps),
+        "steps": list(CONTINUITY_STEPS),
         "gaps": gaps,
     }
     return AxiomReport(CONTINUITY, not flagged, eps, witness if flagged else None)

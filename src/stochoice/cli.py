@@ -4,7 +4,8 @@ corpus generation.
 
 Exit codes are a stable contract for CI use: 0 all requested checks
 passed, 1 an axiom or threshold failed, 2 usage or input error or a
-numerical failure (a ``RuntimeError`` such as ``QuadratureError``).
+numerical failure (a ``RuntimeError`` such as ``QuadratureError``, or an
+``ArithmeticError`` such as an overflow).
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ CHECKABLE_AXIOMS = (
 
 class InputError(Exception):
     pass
+
+
+def _dumps(payload) -> str:
+    """The JSON text every command prints or writes."""
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _load_json(path: str):
@@ -162,7 +168,7 @@ def _print_reports(reports, tol, as_json):
             row["witnesses"] = witnesses
             rows.append(row)
         payload = {"pass": ok, "tol": tol, "reports": rows}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for name, (r, witnesses) in reports.items():
             label = f"{name} (probe)" if name == "continuity" else name
@@ -216,13 +222,11 @@ def cmd_fit(args) -> int:
     result = fit_utility_representation(rule, space)
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "utility": result.utility.to_json(),
                     "probe_condition": result.probe_condition,
-                },
-                indent=2,
-                sort_keys=True,
+                }
             )
         )
     else:
@@ -243,7 +247,7 @@ def cmd_certify(args) -> int:
     ids = [mid for mid, _ in labeled]
     menus = [m for _, m in labeled]
     cert = certify_closeness(rule, menus, utility, menu_ids=ids)
-    payload = json.dumps(cert.to_json(), indent=2, sort_keys=True)
+    payload = _dumps(cert.to_json())
     if args.out:
         Path(args.out).write_text(payload + "\n", encoding="utf-8")
         print(f"delta = {cert.delta:.6g} over {cert.corpus_size} menus -> {args.out}")
@@ -264,15 +268,13 @@ def cmd_demo_probit(args) -> int:
     margin = p_diag - p_top**2
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "binary_top": p_top,
                     "square_diagonal": p_diag,
                     "independent_product": p_top**2,
                     "violation_margin": margin,
-                },
-                indent=2,
-                sort_keys=True,
+                }
             )
         )
     else:
@@ -289,10 +291,7 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, menu in enumerate(menus):
         path = out_dir / f"menu_{i + 1:04d}.json"
-        path.write_text(
-            json.dumps(menu.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(_dumps(menu.to_json()) + "\n", encoding="utf-8")
     print(f"wrote {len(menus)} menus to {out_dir}")
     return EXIT_OK
 
@@ -312,7 +311,7 @@ def cmd_upsilon(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        print(_dumps(rows))
     else:
         for row in rows:
             print(f"{row['menu_id']} (n={row['n_used']}, bound={row['bound']}):")
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pilot = sub.add_parser("check", help="run axiom checks over a corpus")
     add_inputs(pilot)
     pilot.add_argument("--axioms", default="all", help="comma list or 'all'")
-    pilot.add_argument("--tol", type=float, default=1e-9)
+    pilot.add_argument("--tol", type=float, default=axioms.DEFAULT_TOL)
     pilot.add_argument("--pairs", type=int, default=None, help="menu pairs for decomposability")
     pilot.add_argument("--seed", type=int, default=0, help="pair sampling seed")
     pilot.set_defaults(func=cmd_check)
@@ -379,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (InputError, ValueError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,12 @@ from .spaces import (
 # outcome, so neutrality checks are not vacuous on random corpora
 DEFAULT_DUPLICATE_PROB = 0.25
 
+_SPEC_KEYS = {"space", "menu_count", "actions_per_menu", "outcome_sampler", "seed"}
+_SAMPLER_KEYS = {
+    "low", "high", "integer", "sigma_low", "sigma_high", "support_size",
+    "min_len", "max_len", "min_abs_det", "duplicate_prob",
+}
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -44,10 +50,25 @@ class CorpusSpec:
             raise ValueError("menu_count must be positive")
         if not 1 <= self.actions_min <= self.actions_max:
             raise ValueError("actions_per_menu range is empty")
+        sampler = self.sampler
+        unknown = sorted(set(sampler) - _SAMPLER_KEYS)
+        if unknown:
+            raise ValueError(f"unknown outcome_sampler keys: {unknown}")
+        # the count ranges are checked once here, not on every draw
+        size_lo, size_hi = sampler.get("support_size", (1, 4))
+        sizes = _count_range("support_size", size_lo, size_hi, least=1)
+        min_len, max_len = _count_range(
+            "min_len, max_len", sampler.get("min_len", 0), sampler.get("max_len", 4), least=0
+        )
+        counts = {"support_size": sizes, "min_len": min_len, "max_len": max_len}
+        object.__setattr__(self, "sampler", {**sampler, **counts})
 
     @staticmethod
     def from_json(data: dict) -> "CorpusSpec":
         lo, hi = data.get("actions_per_menu", [2, 5])
+        unknown = sorted(set(data) - _SPEC_KEYS)
+        if unknown:
+            raise ValueError(f"unknown corpus spec keys: {unknown}")
         return CorpusSpec(
             space=Space.from_json(data["space"]),
             menu_count=json_int(data["menu_count"], "menu_count"),
@@ -56,6 +77,17 @@ class CorpusSpec:
             sampler=dict(data.get("outcome_sampler", {})),
             seed=json_int(data.get("seed", 0), "seed"),
         )
+
+
+def _count_range(name: str, lo, hi, least: int) -> tuple[int, int]:
+    """The integer range [lo, hi] of JSON counts; lo must be at least
+    least, and hi at least lo."""
+    lo, hi = json_int(lo, name), json_int(hi, name)
+    if lo < least:
+        raise ValueError(f"{name} must be >= {least}, got [{lo}, {hi}]")
+    if lo > hi:
+        raise ValueError(f"{name} range [{lo}, {hi}] is reversed")
+    return lo, hi
 
 
 def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
@@ -78,8 +110,7 @@ def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
         sigma_high = params.get("sigma_high", 2.0)
         return Outcome(space, (rng.uniform(low, high), rng.uniform(sigma_low, sigma_high)))
     if kind == DISTRIBUTION:
-        size_lo, size_hi = params.get("support_size", [1, 4])
-        k = rng.randint(json_int(size_lo, "support_size"), json_int(size_hi, "support_size"))
+        k = rng.randint(*params["support_size"])
         points: list[float] = []
         for _ in range(1000):
             if len(points) == k:
@@ -93,10 +124,7 @@ def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
         total = sum(weights)
         return Outcome(space, tuple((p, w / total) for p, w in zip(points, weights)))
     if kind == PRIZE_STREAM:
-        length = rng.randint(
-            json_int(params.get("min_len", 0), "min_len"),
-            json_int(params.get("max_len", 4), "max_len"),
-        )
+        length = rng.randint(params["min_len"], params["max_len"])
         return Outcome(space, tuple(rng.choice(space.alphabet) for _ in range(length)))
     min_det = params.get("min_abs_det", 1e-3)
     for _ in range(100):

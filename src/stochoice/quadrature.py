@@ -11,21 +11,27 @@ proportionally to interval length.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SEED_PANELS = 32
+_MAX_DEPTH = 40
 
 
 class QuadratureError(RuntimeError):
     pass
 
 
-def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int = 40):
+def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10):
     """Integrate f over [lo, hi] to absolute tolerance tol; raise
-    QuadratureError when panels are still unresolved at max_depth.
+    QuadratureError when panels are still unresolved at depth 40, or
+    when the interval or a panel estimate is not finite.
 
     Returns a float, or an array of one integral per row when f returns
     rows; the rows' absolute errors then sum to at most tol."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise QuadratureError(f"integration interval [{lo}, {hi}] is not finite")
     if not hi > lo:
         raise ValueError("empty integration interval")
     edges = np.linspace(lo, hi, _SEED_PANELS + 1)
@@ -39,9 +45,9 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int
     total = np.zeros(fa.shape[:-1])
     depth = 0
     while a.size:
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
-                f"adaptive Simpson left {a.size} panels unresolved at depth {max_depth}"
+                f"adaptive Simpson left {a.size} panels unresolved at depth {_MAX_DEPTH}"
             )
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
@@ -50,6 +56,10 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         fine = left + right
         err = np.abs(fine - coarse).reshape(-1, a.size).sum(axis=0)
+        # a non-finite panel never converges, and its refinement would
+        # double the panels every round until memory runs out
+        if not np.isfinite(err).all():
+            raise QuadratureError("adaptive Simpson met a non-finite panel estimate")
         done = err <= 15.0 * share
         # Richardson extrapolation on accepted panels
         total += (fine + (fine - coarse) / 15.0).take(done.nonzero()[0], axis=-1).sum(axis=-1)

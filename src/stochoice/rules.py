@@ -26,7 +26,7 @@ NORMALIZATION_GUARD = 1e-8
 ARGMAX_TIE_TOL = 1e-12
 # relative tolerance of each diagonal integral in IARU.log_diagonal
 DIAGONAL_RTOL = 1e-10
-# IARU's default absolute tolerance on its summed group masses
+# IARU's absolute tolerance on its summed group masses
 QUAD_TOL = 1e-10
 
 
@@ -125,8 +125,8 @@ class GaussianShock:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("shock scale must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"shock sigma must be finite and positive, got {self.sigma!r}")
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         z = x / self.sigma
@@ -156,8 +156,8 @@ class GumbelShock:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("shock scale must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"shock beta must be finite and positive, got {self.beta!r}")
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
         bx = self.beta * x
@@ -197,7 +197,6 @@ class IARU(Rule):
     """
 
     shock: ShockSpec
-    quad_tol: float = QUAD_TOL
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         vals = _scalar_values(menu)
@@ -217,9 +216,9 @@ class IARU(Rule):
 
         lo, hi = self.shock.window()
         top = reps.max()
-        # the rows' errors together stay within quad_tol, so their sum
+        # the rows' errors together stay within QUAD_TOL, so their sum
         # meets the guard however many actions share an outcome
-        group_mass = adaptive_simpson(masses, top + lo, top + hi, tol=self.quad_tol)
+        group_mass = adaptive_simpson(masses, top + lo, top + hi, tol=QUAD_TOL)
         total = float(np.sum(group_mass))
         if abs(total - 1.0) > NORMALIZATION_GUARD:
             raise QuadratureError(
@@ -360,8 +359,8 @@ def _log_integral(shock: ShockSpec, shifts: np.ndarray, log_mult: np.ndarray) ->
     return g_max + math.log(value)
 
 
-def probit(sigma: float = 1.0, quad_tol: float = QUAD_TOL) -> IARU:
-    return IARU(GaussianShock(sigma), quad_tol)
+def probit(sigma: float = 1.0) -> IARU:
+    return IARU(GaussianShock(sigma))
 
 
 @dataclass(frozen=True)
@@ -422,8 +421,8 @@ class Perturbed(Rule):
     seed: int
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
 
     def shock(self, menu: Menu, a: ActionId) -> float:
         return self._shocks(menu, (action_str(a),))[0]
@@ -456,8 +455,6 @@ def rule_to_json(rule: Rule) -> dict:
     if isinstance(rule, GeneralMNL):
         return {"type": "general_mnl", "utility": rule.utility.to_json()}
     if isinstance(rule, IARU):
-        if rule.quad_tol != QUAD_TOL:
-            raise ValueError(f"IARU with quad_tol {rule.quad_tol!r} has no JSON encoding")
         if isinstance(rule.shock, GaussianShock):
             shock = {"kind": "gaussian", "param": rule.shock.sigma}
         else:

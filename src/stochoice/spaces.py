@@ -29,8 +29,6 @@ KINDS = (SCALAR, VECTOR, MEAN_STDDEV, DISTRIBUTION, PRIZE_STREAM, MATRIX)
 MERGE_RTOL = 1e-12
 PROB_SUM_TOL = 1e-12
 
-_NOT_FINITE = "outcome components must be finite"
-
 # default outcome-equality tolerance; prize streams compare exactly
 EQUALITY_TOL = 1e-9
 
@@ -133,16 +131,11 @@ def _points_collide(p, q):
     """|p - q| <= MERGE_RTOL * max(1, |p|, |q|), elementwise on arrays.
 
     Rounding is monotone, so comparing against each scaled term gives
-    the same answer as comparing against the scaled maximum."""
+    the same answer as comparing against the scaled maximum.  Points at
+    an infinite distance never collide, though inf <= MERGE_RTOL * inf."""
     d = abs(p - q)
-    return (d <= MERGE_RTOL) | (d <= MERGE_RTOL * abs(p)) | (d <= MERGE_RTOL * abs(q))
-
-
-def _check_probs(weights: Sequence[float]) -> None:
-    if any(w <= 0 for w in weights):
-        raise ValueError("distribution probabilities must be positive")
-    if abs(math.fsum(weights) - 1.0) > PROB_SUM_TOL:
-        raise ValueError("distribution probabilities must sum to 1")
+    near = (d <= MERGE_RTOL) | (d <= MERGE_RTOL * abs(p)) | (d <= MERGE_RTOL * abs(q))
+    return near & (d < math.inf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,7 +174,11 @@ class Outcome:
             for (p, w), (q, _) in zip(pairs, pairs[1:]):
                 if _points_collide(p, q):
                     raise ValueError("distribution support points must be distinct")
-            _check_probs([w for _, w in pairs])
+            weights = [w for _, w in pairs]
+            if any(w <= 0 for w in weights):
+                raise ValueError("distribution probabilities must be positive")
+            if abs(math.fsum(weights) - 1.0) > PROB_SUM_TOL:
+                raise ValueError("distribution probabilities must sum to 1")
             object.__setattr__(self, "value", tuple(pairs))
         elif kind == PRIZE_STREAM:
             seq = tuple(v)
@@ -204,7 +201,7 @@ class Outcome:
         else:
             finite = all(map(math.isfinite, _flat(self)))
         if not finite:
-            raise ValueError(_NOT_FINITE)
+            raise ValueError("outcome components must be finite")
 
 
 def _trusted_outcome(space: Space, value) -> Outcome:
@@ -364,12 +361,11 @@ def _convolve_rows(
     )
     ws = run_weights.tolist()
     spans = list(zip(bounds.tolist(), [*bounds[1:].tolist(), len(ws)]))
+    terms = list(zip(run_points.tolist(), ws))
     for ok, (a, b) in zip(valid.tolist(), spans):
         if not ok or abs(math.fsum(ws[a:b]) - 1.0) > PROB_SUM_TOL:
-            # raise what Outcome would, in its order of checks
-            _check_probs(ws[a:b])
-            raise ValueError(_NOT_FINITE)
-    terms = list(zip(run_points.tolist(), ws))
+            # Outcome rejects the pair with its own error
+            Outcome(space, terms[a:b])
     return [_trusted_outcome(space, tuple(terms[a:b])) for a, b in spans]
 
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import stochoice
 from stochoice import (
     CorpusSpec,
     Rule,
@@ -18,6 +23,23 @@ from stochoice import (
     unit_binary_menu,
 )
 from stochoice.cli import main
+
+
+def run_capped(argv):
+    """The CLI run in a child process with 2 GiB of address space, one
+    BLAS thread and a 60 s timeout."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from stochoice.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(stochoice.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def write(path, payload):
@@ -647,6 +669,54 @@ class TestExitCodes:
                 tmp_path / "perturbed_seed_float.json",
                 {"type": "perturbed", "base": {"type": "uniform"}, "delta": 0.1, "seed": 3.7},
             ),
+            "lengths_negative": write(
+                tmp_path / "lengths_negative.json",
+                {**streams, "outcome_sampler": {"min_len": -5, "max_len": -2}},
+            ),
+            "support_size_reversed": write(
+                tmp_path / "support_size_reversed.json",
+                {**lottery, "outcome_sampler": {"support_size": [3, 1]}},
+            ),
+            "support_size_negative": write(
+                tmp_path / "support_size_negative.json",
+                {**lottery, "outcome_sampler": {"support_size": [-3, -1]}},
+            ),
+            "sampler_key_unknown": write(
+                tmp_path / "sampler_key_unknown.json",
+                {"space": scalar_space, "menu_count": 2, "outcome_sampler": {"lo": -1}},
+            ),
+            "spec_key_unknown": write(
+                tmp_path / "spec_key_unknown.json",
+                {"space": scalar_space, "menu_count": 2, "actions": [2, 3]},
+            ),
+            "gaussian_infinite": write(
+                tmp_path / "gaussian_infinite.json",
+                {"type": "iaru", "shock": {"kind": "gaussian", "param": math.inf}},
+            ),
+            "gaussian_huge": write(
+                tmp_path / "gaussian_huge.json",
+                {"type": "iaru", "shock": {"kind": "gaussian", "param": 1e308}},
+            ),
+            "gumbel_nan": write(
+                tmp_path / "gumbel_nan.json",
+                {"type": "iaru", "shock": {"kind": "gumbel", "param": math.nan}},
+            ),
+            "delta_huge": write(
+                tmp_path / "delta_huge.json",
+                {"type": "perturbed", "base": {"type": "uniform"}, "delta": 10000, "seed": 1},
+            ),
+            "delta_infinite": write(
+                tmp_path / "delta_infinite.json",
+                {"type": "perturbed", "base": {"type": "uniform"}, "delta": math.inf, "seed": 1},
+            ),
+            "lottery_huge": write(
+                tmp_path / "lottery_huge.json",
+                {
+                    "space": lottery_space,
+                    "actions": [{"id": "a", "outcome": {"support": [0, 1e308],
+                                                        "probs": [0.5, 0.5]}}],
+                },
+            ),
             "out": str(tmp_path / "out"),
         }
 
@@ -736,6 +806,40 @@ class TestExitCodes:
         "gen_max_len_is_a_bool": ["gen", "--spec", "max_len_bool", "--out", "out"],
         "gen_min_len_not_integral": ["gen", "--spec", "min_len_float", "--out", "out"],
         "gen_max_len_is_a_string": ["gen", "--spec", "max_len_string", "--out", "out"],
+        "gen_lengths_negative": ["gen", "--spec", "lengths_negative", "--out", "out"],
+        "check_support_size_reversed": [
+            "check", "--rule", "uniform", "--corpus", "support_size_reversed",
+        ],
+        "check_support_size_negative": [
+            "check", "--rule", "uniform", "--corpus", "support_size_negative",
+        ],
+        "check_sampler_key_unknown": [
+            "check", "--rule", "uniform", "--corpus", "sampler_key_unknown",
+        ],
+        "check_spec_key_unknown": ["check", "--rule", "uniform", "--corpus", "spec_key_unknown"],
+    }
+
+    # each spec error names what is wrong
+    SPEC_MESSAGES = {
+        "lengths_negative": "min_len, max_len must be >= 0, got [-5, -2]",
+        "support_size_reversed": "support_size range [3, 1] is reversed",
+        "support_size_negative": "support_size must be >= 1, got [-3, -1]",
+        "sampler_key_unknown": "unknown outcome_sampler keys: ['lo']",
+        "spec_key_unknown": "unknown corpus spec keys: ['actions']",
+    }
+
+    # numerical failures that could end in a traceback or exhaust memory;
+    # they run in a capped child process, so a regression fails one test
+    CAPPED_CASES = {
+        "check_gaussian_scale_infinite": ["check", "--rule", "gaussian_infinite", "--menus", "unit"],
+        "check_gaussian_scale_overflows": ["check", "--rule", "gaussian_huge", "--menus", "unit"],
+        "check_gumbel_scale_nan": ["check", "--rule", "gumbel_nan", "--menus", "unit"],
+        "check_delta_overflows": ["check", "--rule", "delta_huge", "--menus", "unit"],
+        "check_delta_infinite": ["check", "--rule", "delta_infinite", "--menus", "unit"],
+        "check_lottery_sum_overflows": [
+            "check", "--rule", "uniform", "--menus", "lottery_huge",
+            "--axioms", "decomposability", "--pairs", "1",
+        ],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -743,6 +847,29 @@ class TestExitCodes:
         argv = [inputs.get(arg, arg) for arg in self.CASES[case]]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("spec", sorted(SPEC_MESSAGES))
+    def test_spec_error_is_named(self, spec, inputs, capsys):
+        assert main(["check", "--rule", inputs["uniform"], "--corpus", inputs[spec]]) == 2
+        message = f"invalid corpus spec file {inputs[spec]}: {self.SPEC_MESSAGES[spec]}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("case", sorted(CAPPED_CASES))
+    def test_numerical_failure_exits_2_within_the_cap(self, case, inputs):
+        done = run_capped([inputs.get(arg, arg) for arg in self.CAPPED_CASES[case]])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--rule", "mnl", "--menus", "three"],
+         ["certify", "--rule", "probit", "--menus", "three"]],
+        ids=["check", "certify_probit"],
+    )
+    def test_normal_run_fits_the_cap(self, argv, inputs):
+        done = run_capped([inputs.get(arg, arg) for arg in argv])
+        assert done.returncode == 0, done.stderr
 
     def test_certificate_reconstruction_failure_exits_2(
         self, inputs, monkeypatch, capsys

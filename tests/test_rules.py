@@ -65,10 +65,10 @@ class TestQuadrature:
             adaptive_simpson(norm.pdf, 1.0, 1.0)
 
     def test_depth_cap_raises(self):
-        # the coarse sum at the cap reads 0.70011 where the integral is 0.7
+        # the panel holding the jump keeps an error near its width
         step = lambda x: (x < 0.7).astype(float)
-        with pytest.raises(QuadratureError, match="depth 6"):
-            adaptive_simpson(step, 0.0, 1.0, tol=1e-14, max_depth=6)
+        with pytest.raises(QuadratureError, match="depth 40"):
+            adaptive_simpson(step, 0.0, 1.0, tol=1e-14)
 
     def test_rows_share_one_error_budget(self):
         rows = lambda x: np.stack([norm.pdf(x), 2.0 * norm.pdf(x - 1.0)])
@@ -79,8 +79,8 @@ class TestQuadrature:
 
     def test_row_depth_cap_raises(self):
         rows = lambda x: np.stack([norm.pdf(x), (x < 0.7).astype(float)])
-        with pytest.raises(QuadratureError, match="depth 6"):
-            adaptive_simpson(rows, 0.0, 1.0, tol=1e-14, max_depth=6)
+        with pytest.raises(QuadratureError, match="depth 40"):
+            adaptive_simpson(rows, 0.0, 1.0, tol=1e-14)
 
     def test_one_quadrature_error(self):
         import stochoice.quadrature
@@ -410,6 +410,7 @@ class TestRuleJson:
             IARU(GumbelShock(2.0)),
             Uniform(),
             Perturbed(MNL(2.0), 0.05, 7),
+            Perturbed(probit(), 0.05, 7),
         ],
     )
     def test_round_trip(self, rule):
@@ -425,15 +426,3 @@ class TestRuleJson:
         with pytest.raises(ValueError):
             rule_from_json({"type": "nested_logit"})
 
-    @pytest.mark.parametrize(
-        "rule",
-        [
-            IARU(GaussianShock(1.0), quad_tol=1e-6),
-            Perturbed(probit(quad_tol=1e-6), 0.05, 7),
-        ],
-        ids=["iaru", "perturbed_iaru"],
-    )
-    def test_non_default_quad_tol_has_no_encoding(self, rule):
-        # the JSON form carries no tolerance and would reload at 1e-10
-        with pytest.raises(ValueError, match="quad_tol"):
-            rule_to_json(rule)

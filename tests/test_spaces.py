@@ -82,6 +82,16 @@ class TestCompose:
         assert [p for p, _ in out.value] == [0.0, 1.0, 2.0]
         assert [w for _, w in out.value] == pytest.approx([0.25, 0.5, 0.25])
 
+    def test_overflowing_sum_raises(self):
+        # 1e308 + 1e308 is inf, which must not merge into the run at 1e308
+        space = Space.distribution(2)
+        huge = Outcome(space, ((0.0, 0.5), (1e308, 0.5)))
+        with pytest.raises(ValueError, match="outcome components must be finite"):
+            compose(huge, huge)
+        menu = Menu(space, (("a", huge),))
+        with pytest.raises(ValueError, match="outcome components must be finite"):
+            product(menu, menu)
+
     def test_matrix_product_order(self):
         space = Space.matrix(2)
         x = Outcome(space, ((1.0, 1.0), (0.0, 1.0)))
@@ -296,6 +306,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Outcome(space, payload)
 
+    @pytest.mark.parametrize("pairs", [((0.0, 0.5), (math.inf, 0.5)),
+                                       ((-math.inf, 0.5), (0.0, 0.5))])
+    def test_infinite_support_point_is_named(self, pairs):
+        with pytest.raises(ValueError, match="outcome components must be finite"):
+            Outcome(Space.distribution(2), pairs)
+
     def test_prizes_outside_alphabet(self):
         with pytest.raises(ValueError):
             Outcome(Space.prizes(("a",)), ("b",))
@@ -311,7 +327,8 @@ LOTTERY_SPACE = Space.distribution(2)
 
 
 def _sequential_collide(p, q):
-    return abs(p - q) <= MERGE_RTOL * max(1.0, abs(p), abs(q))
+    d = abs(p - q)
+    return d < math.inf and d <= MERGE_RTOL * max(1.0, abs(p), abs(q))
 
 
 def _sequential_convolve(xs, ys):
