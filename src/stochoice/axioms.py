@@ -9,6 +9,7 @@ x/0 with x > 0 contributes +inf.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,25 +121,25 @@ def neutrality_epsilon(
     is tested.  The witness is the first worst pair in entry order.
     min_epsilon 0 means the exact neutrality axiom holds on this menu.
     """
-    dist = rule.choose(menu)
-    entries = menu.entries
-    p = [dist[a] for a, _ in entries]
+    p = rule.choose(menu).aligned(menu)
+    outcomes = menu.outcomes
     eps, first = 0.0, None
-    for idx, all_equal in equal_outcome_blocks([o for _, o in entries], outcome_tol):
+    for idx, all_equal in equal_outcome_blocks(outcomes, outcome_tol):
         if all_equal:
             candidates = _first_worst_pair(idx, p)
         else:
             candidates = (
                 (ratio_excess(p[i], p[j]), (i, j))
                 for i, j in combinations(idx, 2)
-                if outcomes_equal(entries[i][1], entries[j][1], outcome_tol)
+                if outcomes_equal(outcomes[i], outcomes[j], outcome_tol)
             )
         for r, pair in candidates:
             if r > eps or (r == eps and first is not None and pair < first):
                 eps, first = r, pair
     witness = None
     if first is not None:
-        witness = _ratio_witness(menu_id, entries[first[0]][0], entries[first[1]][0], eps)
+        actions = menu.actions
+        witness = _ratio_witness(menu_id, actions[first[0]], actions[first[1]], eps)
     return _report(NEUTRALITY, tol, eps, witness)
 
 
@@ -175,12 +176,13 @@ def decomposability_epsilon(
         raise SpaceMismatchError()
     if len(m1) * len(m2) > MENU_SIZE_GUARD:
         raise ValueError(f"product menu would exceed {MENU_SIZE_GUARD} actions")
-    d1 = rule.choose(m1)
-    d2 = rule.choose(m2)
-    joint = rule.choose(product(m1, m2))
-    rows = (
-        (a1, a2, joint[(a1, a2)], d1[a1] * d2[a2]) for a1 in m1.actions for a2 in m2.actions
-    )
+    p1 = rule.choose(m1).aligned(m1)
+    p2 = rule.choose(m2).aligned(m2)
+    joint_menu = product(m1, m2)
+    joint = rule.choose(joint_menu).aligned(joint_menu)
+    # the product's entries pair the factors' in row-major order
+    pairs = itertools.product(zip(m1.actions, p1), zip(m2.actions, p2))
+    rows = ((a1, a2, pj, q1 * q2) for ((a1, q1), (a2, q2)), pj in zip(pairs, joint))
     return _report(DECOMPOSABILITY, tol, *_worst_ratio(rows, menu_id))
 
 
@@ -188,9 +190,8 @@ def positivity_check(
     rule: Rule, menu: Menu, menu_id: str | None = None
 ) -> AxiomReport:
     """Satisfied iff every action has strictly positive probability."""
-    dist = rule.choose(menu)
-    for a in menu.actions:
-        if dist[a] <= 0.0:
+    for a, p in zip(menu.actions, rule.choose(menu).aligned(menu)):
+        if p <= 0.0:
             witness = {"menu_id": menu_id, "action": action_str(a)}
             return AxiomReport(POSITIVITY, False, math.inf, witness)
     return AxiomReport(POSITIVITY, True, 0.0, None)

@@ -16,6 +16,7 @@ from .axioms import effective_neutrality_epsilon, power_diagonal_log
 from .menus import Menu, unit_binary_menu
 from .rules import ChoiceDistribution, Rule
 from .spaces import (
+    SCALAR,
     Outcome,
     Space,
     SpaceMismatchError,
@@ -112,11 +113,11 @@ def upsilon(
     if eps_decomp is not None and not eps_decomp >= 0.0:
         raise ValueError("eps_decomp must be nonnegative")
     logs = power_diagonal_log(rule, menu, n_max)
-    raw = {a: math.exp(lp / n_max) for a, lp in logs.items()}
-    total = math.fsum(raw.values())
+    raw = [math.exp(logs[a] / n_max) for a in menu.actions]
+    total = math.fsum(raw)
     if total <= 0.0:
         raise ValueError("all diagonal probabilities are zero")
-    estimate = ChoiceDistribution({a: v / total for a, v in raw.items()})
+    estimate = ChoiceDistribution.on(menu, [v / total for v in raw])
     bound = None
     if eps_decomp is not None:
         bound = (1.0 + eps_decomp) ** (1.0 / n_max) - 1.0
@@ -147,19 +148,21 @@ class ClosenessCertificate:
 def _corpus_arrays(rule: Rule, corpus: Sequence[Menu], space: Space):
     """One pass over a nonempty corpus, choosing from each menu once: the
     probability, feature row and menu index of every action in order."""
-    probs, rows, menu_of = [], [], []
-    for m, menu in enumerate(corpus):
+    k = len(features(identity(space)))
+    probs, rows, sizes = [], [], []
+    for menu in corpus:
         if menu.space != space:
             raise SpaceMismatchError()
-        dist = rule.choose(menu)
-        p = [dist[a] for a in menu.actions]
+        p = rule.choose(menu).aligned(menu)
         if min(p) <= 0.0:
             raise ValueError("non-positive probability in corpus")
         probs += p
-        rows += [features(o) for _, o in menu.entries]
-        menu_of += [m] * len(p)
-    k = len(features(identity(space)))
-    return np.array(probs), np.array(rows).reshape(len(probs), k), np.array(menu_of)
+        if space.kind == SCALAR:
+            rows.append(menu.values[:, None])
+        else:
+            rows.append(np.array([features(o) for o in menu.outcomes]).reshape(len(p), k))
+        sizes.append(len(p))
+    return np.array(probs), np.concatenate(rows), np.repeat(np.arange(len(corpus)), sizes)
 
 
 def _extremes(r: np.ndarray, menu_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +244,8 @@ def certify_closeness(
     logits = utilities + s
     weights = np.exp(logits - np.maximum.reduceat(logits, first)[menu_of])
     rebuilt = weights / np.add.reduceat(weights, first)[menu_of]
-    if np.max(np.abs(rebuilt - probs)) > RECONSTRUCTION_TOL:
+    # a NaN residual fails too
+    if not np.max(np.abs(rebuilt - probs)) <= RECONSTRUCTION_TOL:
         raise RuntimeError("certificate reconstruction check failed")
     shocks = tuple(
         (mid, {a: float(v) for a, v in zip(menu.ids, s[i:])})

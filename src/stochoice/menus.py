@@ -9,18 +9,20 @@ left-associated since composition need not be associative.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Union
 
 import numpy as np
 
 from .spaces import (
+    SCALAR,
     Outcome,
     Space,
     SpaceMismatchError,
     _compose_all,
+    _trusted_outcome,
     equal_outcome_blocks,
     outcome_from_json,
     outcome_to_json,
@@ -83,37 +85,118 @@ def _check_atoms(a: ActionId) -> None:
     _check_atoms(right)
 
 
-@dataclass(frozen=True, slots=True)
+# what a menu knows beyond its space and factors; a product menu can
+# derive each of them from its factors
+_DERIVED = ("_entries", "_actions", "_outcomes", "_values", "_ids", "_index")
+
+
 class Menu:
     """A finite set of labeled actions with one outcome per action.
 
     Entry order is preserved so reports and bijections are deterministic.
+    A menu is immutable, and equal menus have equal spaces and entries.
+
+    ``Menu(space, entries)`` validates its entries.  A product menu
+    keeps its two factors instead: its outcomes are composed once, and
+    a scalar one holds them as the float array ``values``.  Its
+    ``entries``, ``actions`` and scalar ``outcomes`` are built on first
+    use; ``len``, ``index`` and ``menu_hash`` never build them.
     """
 
-    space: Space
-    entries: tuple[tuple[ActionId, Outcome], ...]
-    # each action's action_str, aligned with entries; see ``ids``
-    _ids: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("space", "_factors", *_DERIVED)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((a, o) for a, o in self.entries))
-        if not self.entries:
+    def __init__(self, space: Space, entries) -> None:
+        entries = tuple((a, o) for a, o in entries)
+        if not entries:
             raise ValueError("menu needs at least one action")
         seen = set()
-        for a, o in self.entries:
+        for a, o in entries:
             _check_atoms(a)
             if a in seen:
                 raise ValueError(f"duplicate action id: {action_str(a)}")
             seen.add(a)
-            if o.space != self.space:
+            if o.space != space:
                 raise SpaceMismatchError()
+        _fill(self, space, None, entries=entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Menu is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Menu is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild a menu from its space and entries
+        return Menu, (self.space, self.entries)
+
+    def _cache(self, name: str, value):
+        object.__setattr__(self, name, value)
+        return value
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space == other.space and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.entries))
+
+    def __repr__(self) -> str:
+        return f"Menu(space={self.space!r}, entries={self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        if self._factors is None:
+            return len(self._entries)
+        m1, m2 = self._factors
+        return len(m1) * len(m2)
+
+    @property
+    def entries(self) -> tuple[tuple[ActionId, Outcome], ...]:
+        if self._entries is None:
+            return self._cache("_entries", tuple(zip(self.actions, self.outcomes)))
+        return self._entries
 
     @property
     def actions(self) -> tuple[ActionId, ...]:
-        return tuple(a for a, _ in self.entries)
+        if self._actions is None:
+            if self._factors is None:
+                return self._cache("_actions", tuple(a for a, _ in self._entries))
+            m1, m2 = self._factors
+            return self._cache("_actions", tuple(itertools.product(m1.actions, m2.actions)))
+        return self._actions
+
+    @property
+    def outcomes(self) -> tuple[Outcome, ...]:
+        """Each action's outcome, aligned with ``entries``."""
+        if self._outcomes is None:
+            if self._factors is None:
+                outcomes = tuple(o for _, o in self._entries)
+            elif self.space.kind == SCALAR:
+                outcomes = tuple(_trusted_outcome(self.space, v) for v in self.values.tolist())
+            else:
+                m1, m2 = self._factors
+                outcomes = tuple(_compose_all(m1.outcomes, m2.outcomes))
+            return self._cache("_outcomes", outcomes)
+        return self._outcomes
+
+    @property
+    def values(self) -> np.ndarray:
+        """A scalar menu's outcomes as one read-only float array, aligned
+        with ``entries``; a product's is the outer sum of its factors'."""
+        if self.space.kind != SCALAR:
+            raise SpaceMismatchError()
+        if self._values is None:
+            if self._factors is None:
+                values = np.array([o.value for o in self.outcomes], dtype=float)
+            else:
+                m1, m2 = self._factors
+                # a sum may overflow to inf, as Python floats do silently;
+                # product rejects it
+                with np.errstate(over="ignore"):
+                    values = np.add.outer(m1.values, m2.values).ravel()
+            values.flags.writeable = False
+            return self._cache("_values", values)
+        return self._values
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -123,21 +206,36 @@ class Menu:
         file; any other menu serializes its actions on first use.  They
         live as long as the menu, and nothing is cached across menus."""
         if self._ids is None:
-            object.__setattr__(self, "_ids", tuple(action_str(a) for a, _ in self.entries))
+            if self._factors is None:
+                return self._cache("_ids", tuple(map(action_str, self.actions)))
+            m1, m2 = self._factors
+            return self._cache("_ids", tuple(f"({s1},{s2})" for s1 in m1.ids for s2 in m2.ids))
         return self._ids
 
+    def index(self, a: ActionId) -> int:
+        """The position of action a in ``entries``; KeyError if absent.
+        A product's (a1, a2) sits at i1 * len(m2) + i2."""
+        if self._factors is None:
+            if self._index is None:
+                self._cache("_index", {b: i for i, b in enumerate(self.actions)})
+            return self._index[a]
+        if not (isinstance(a, tuple) and len(a) == 2):
+            raise KeyError(a)
+        m1, m2 = self._factors
+        return m1.index(a[0]) * len(m2) + m2.index(a[1])
+
     def outcome_of(self, a: ActionId) -> Outcome:
-        for aid, o in self.entries:
-            if aid == a:
-                return o
-        raise KeyError(action_str(a))
+        try:
+            return self.outcomes[self.index(a)]
+        except KeyError:
+            raise KeyError(action_str(a)) from None
 
     def to_json(self) -> dict:
         return {
             "space": self.space.to_json(),
             "actions": [
                 {"id": s, "outcome": outcome_to_json(o)}
-                for s, (_, o) in zip(self.ids, self.entries)
+                for s, o in zip(self.ids, self.outcomes)
             ],
         }
 
@@ -145,15 +243,37 @@ class Menu:
     def from_json(data: dict) -> "Menu":
         space = Space.from_json(data["space"])
         ids = tuple(item["id"] for item in data["actions"])
+        # action_from_str reads only what action_str writes, so its atoms
+        # are valid, each string read is its action's id, and distinct
+        # strings are distinct actions
         entries = tuple(
             (action_from_str(s), outcome_from_json(space, item["outcome"]))
             for s, item in zip(ids, data["actions"])
         )
-        menu = Menu(space, entries)
-        # action_from_str reads only what action_str writes, so each
-        # string read is its action's id
-        object.__setattr__(menu, "_ids", ids)
-        return menu
+        if not entries:
+            raise ValueError("menu needs at least one action")
+        if len(set(ids)) < len(ids):
+            seen = set()
+            for s in ids:
+                if s in seen:
+                    raise ValueError(f"duplicate action id: {s}")
+                seen.add(s)
+        return _new_menu(space, None, entries=entries, ids=ids)
+
+
+def _fill(m: Menu, space: Space, factors: tuple | None, **known) -> None:
+    object.__setattr__(m, "space", space)
+    object.__setattr__(m, "_factors", factors)
+    for name in _DERIVED:
+        object.__setattr__(m, name, known.get(name[1:]))
+
+
+def _new_menu(space: Space, factors: tuple | None, **known) -> Menu:
+    # bypass validation for a menu whose invariants hold by construction;
+    # re-validating 10^6-action power menus dominates their build time
+    m = object.__new__(Menu)
+    _fill(m, space, factors, **known)
+    return m
 
 
 def menu_of(space: Space, assignments: dict) -> Menu:
@@ -170,31 +290,27 @@ def unit_binary_menu() -> Menu:
     return scalar_menu({"b0": 0.0, "b1": 1.0})
 
 
-def _trusted_menu(space: Space, entries: tuple, ids: tuple) -> Menu:
-    # bypass __post_init__ for entries whose invariants hold by
-    # construction; re-validating 10^6-action power menus dominates their
-    # build time otherwise
-    m = object.__new__(Menu)
-    object.__setattr__(m, "space", space)
-    object.__setattr__(m, "entries", entries)
-    object.__setattr__(m, "_ids", ids)
-    return m
-
-
 def product(m1: Menu, m2: Menu) -> Menu:
     """Product menu: paired actions, composed outcomes.
 
     Actions are ordered pairs in lexicographic order of entry indices.
+    Pairs of distinct ids are distinct and composition preserves the
+    space, so nothing is re-validated; the outcomes are composed here,
+    which raises on any that is invalid.  A scalar product holds only
+    its ids and values; any other kind also builds its entries here.
     """
     if m1.space != m2.space:
         raise SpaceMismatchError()
-    # pairs of distinct ids are distinct and compose preserves the space,
-    # so the result needs no re-validation
-    outcomes = _compose_all([o for _, o in m1.entries], [o for _, o in m2.entries])
-    pairs = ((a1, a2) for a1, _ in m1.entries for a2, _ in m2.entries)
-    entries = tuple(zip(pairs, outcomes))
-    ids = tuple(f"({s1},{s2})" for s1 in m1.ids for s2 in m2.ids)
-    return _trusted_menu(m1.space, entries, ids)
+    m = _new_menu(m1.space, (m1, m2))
+    m.ids
+    if m.space.kind != SCALAR:
+        # as a plain menu holds them; built on first use instead, they
+        # left the heap more fragmented: peak RSS of the lottery_corpus
+        # benchmark rose from 122-124 MB to 134 MB
+        m.entries
+    elif not np.isfinite(m.values).all():
+        raise ValueError("outcome components must be finite")
+    return m
 
 
 def power(m: Menu, n: int) -> Menu:
@@ -205,7 +321,14 @@ def power(m: Menu, n: int) -> Menu:
     """
     if n < 1:
         raise ValueError("menu power requires n >= 1")
-    return reduce(lambda acc, _: product(acc, m), range(n - 1), m)
+    acc = m
+    for _ in range(n - 1):
+        inner, acc = acc, product(acc, m)
+        if inner is not m:
+            # an inner power lives on only as a factor, which needs no
+            # more than its own factors
+            _fill(inner, inner.space, inner._factors)
+    return acc
 
 
 def diagonal_action(a: ActionId, n: int) -> ActionId:
@@ -228,7 +351,7 @@ def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
     if m1.space != m2.space or len(m1) != len(m2):
         return None
     n = len(m1)
-    outcomes = [o for _, o in m1.entries + m2.entries]
+    outcomes = m1.outcomes + m2.outcomes
     matched = {}
     for idx, all_equal in equal_outcome_blocks(outcomes, tol):
         left = [i for i in idx if i < n]
@@ -248,16 +371,18 @@ def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
                 return None
             right = [right[c] for c in cols]
         matched.update(zip(left, right))
-    return {a: m2.entries[matched[i] - n][0] for i, (a, _) in enumerate(m1.entries)}
+    right_actions = m2.actions
+    return {a: right_actions[matched[i] - n] for i, a in enumerate(m1.actions)}
 
 
 def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
     """Header and sorted body of the canonical encoding."""
     space = menu.space
     head = f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}#"
-    return head, sorted(
-        f"{s}={canonical_value(o)}" for s, (_, o) in zip(menu.ids, menu.entries)
-    )
+    if space.kind == SCALAR:
+        # canonical_value's scalar format, read from the array
+        return head, sorted(f"{s}={v:.12g}" for s, v in zip(menu.ids, menu.values.tolist()))
+    return head, sorted(f"{s}={canonical_value(o)}" for s, o in zip(menu.ids, menu.outcomes))
 
 
 def canonical_key(menu: Menu) -> str:

@@ -19,7 +19,7 @@ from scipy.special import gammaln, log_ndtr
 
 from .menus import ActionId, Menu, action_str, canonical_key, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
-from .spaces import SCALAR, SpaceMismatchError, Utility, evaluate, json_int, sort_and_cut
+from .spaces import SpaceMismatchError, Utility, evaluate, json_int, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
@@ -30,39 +30,80 @@ DIAGONAL_RTOL = 1e-10
 QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class ChoiceDistribution:
-    """Probabilities over a menu's actions; nonnegative, summing to 1."""
+    """Probabilities over a menu's actions; nonnegative, summing to 1.
 
-    probs: Mapping[ActionId, float]
+    A rule's distribution (``ChoiceDistribution.on``) holds the list ``p``
+    aligned with its menu's entries, and ``dist[a]`` reads it at
+    ``menu.index(a)``.  ``ChoiceDistribution(mapping)`` holds a mapping of
+    each action to its probability, and no menu.  Either way ``probs``,
+    ``items()`` and ``to_json()`` build a mapping only when called.
+    """
 
-    def __post_init__(self) -> None:
-        if any(not p >= 0 for p in self.probs.values()):
+    __slots__ = ("menu", "p", "_probs")
+
+    def __init__(self, probs: Mapping[ActionId, float]) -> None:
+        self.menu = None
+        self._probs = dict(probs)
+        self.p = list(self._probs.values())
+        self._check()
+
+    @classmethod
+    def on(cls, menu: Menu, p: list[float]) -> "ChoiceDistribution":
+        """The distribution with p[i] the probability of entry i."""
+        if len(p) != len(menu):
+            raise ValueError(f"{len(p)} probabilities for {len(menu)} actions")
+        dist = object.__new__(cls)
+        dist.menu, dist.p, dist._probs = menu, p, None
+        dist._check()
+        return dist
+
+    def _check(self) -> None:
+        if any(not p >= 0 for p in self.p):
             raise ValueError("negative or NaN choice probability")
-        total = math.fsum(self.probs.values())
+        total = math.fsum(self.p)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"choice probabilities sum to {total!r}, not 1")
 
+    @property
+    def probs(self) -> Mapping[ActionId, float]:
+        if self._probs is None:
+            self._probs = dict(zip(self.menu.actions, self.p))
+        return self._probs
+
     def __getitem__(self, a: ActionId) -> float:
-        return self.probs[a]
+        if self.menu is None:
+            return self._probs[a]
+        return self.p[self.menu.index(a)]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.probs == other.probs
+
+    def __repr__(self) -> str:
+        return f"ChoiceDistribution({self.probs!r})"
+
+    def aligned(self, menu: Menu) -> list[float]:
+        """The probabilities of the menu's actions in entry order: the list
+        itself when this is a distribution on that menu."""
+        if menu is self.menu:
+            return self.p
+        return [self[a] for a in menu.actions]
 
     def items(self):
         return self.probs.items()
 
     def to_json(self) -> dict:
-        return {action_str(a): p for a, p in self.probs.items()}
+        if self.menu is None:
+            return {action_str(a): p for a, p in self._probs.items()}
+        return dict(zip(self.menu.ids, self.p))
 
 
 def _softmax(utilities: np.ndarray) -> np.ndarray:
     shifted = utilities - np.max(utilities)
     e = np.exp(shifted)
     return e / np.sum(e)
-
-
-def _scalar_values(menu: Menu) -> np.ndarray:
-    if menu.space.kind != SCALAR:
-        raise SpaceMismatchError()
-    return np.array([o.value for _, o in menu.entries], dtype=float)
 
 
 class Rule:
@@ -83,8 +124,12 @@ class MNL(Rule):
 
     beta: float
 
+    def __post_init__(self) -> None:
+        if math.isnan(self.beta):
+            raise ValueError("MNL beta must not be NaN")
+
     def choose(self, menu: Menu) -> ChoiceDistribution:
-        vals = _scalar_values(menu)
+        vals = menu.values
         if math.isinf(self.beta):
             target = vals.max() if self.beta > 0 else vals.min()
             if all(float(v).is_integer() for v in vals):
@@ -94,7 +139,7 @@ class MNL(Rule):
             p = hit / hit.sum()
         else:
             p = _softmax(self.beta * vals)
-        return ChoiceDistribution(dict(zip(menu.actions, p.tolist())))
+        return ChoiceDistribution.on(menu, p.tolist())
 
 
 @dataclass(frozen=True)
@@ -106,16 +151,15 @@ class GeneralMNL(Rule):
     def choose(self, menu: Menu) -> ChoiceDistribution:
         if menu.space != self.utility.space:
             raise SpaceMismatchError()
-        us = np.array([evaluate(self.utility, o) for _, o in menu.entries])
-        p = _softmax(us)
-        return ChoiceDistribution(dict(zip(menu.actions, p.tolist())))
+        us = np.array([evaluate(self.utility, o) for o in menu.outcomes])
+        return ChoiceDistribution.on(menu, _softmax(us).tolist())
 
 
 @dataclass(frozen=True)
 class Uniform(Rule):
     def choose(self, menu: Menu) -> ChoiceDistribution:
-        p = 1.0 / len(menu)
-        return ChoiceDistribution({a: p for a in menu.actions})
+        n = len(menu)
+        return ChoiceDistribution.on(menu, [1.0 / n] * n)
 
 
 @dataclass(frozen=True)
@@ -199,7 +243,7 @@ class IARU(Rule):
     shock: ShockSpec
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
-        vals = _scalar_values(menu)
+        vals = menu.values
         # equal-outcome actions share one row, which keeps IARU
         # exactly neutral and makes large power menus tractable
         group_of = sort_and_cut(vals.tolist(), 1e-12 * max(1.0, float(np.abs(vals).max())))
@@ -225,8 +269,7 @@ class IARU(Rule):
                 f"IARU probabilities sum to {total!r} before renormalization"
             )
         group_p = group_mass / counts / total
-        probs = {a: float(group_p[group_of[i]]) for i, a in enumerate(menu.actions)}
-        return ChoiceDistribution(probs)
+        return ChoiceDistribution.on(menu, group_p[group_of].tolist())
 
     def log_diagonal(self, menu: Menu, n: int) -> dict[ActionId, float]:
         """ln P[a^n] on power(menu, n) for each base action a, without
@@ -237,7 +280,7 @@ class IARU(Rule):
         n! / prod c_i!.  Only the k diagonal integrals are taken, each
         to relative tolerance DIAGONAL_RTOL; nothing is renormalized.
         """
-        vals = _scalar_values(menu)
+        vals = menu.values
         outcome, log_mult, owner = _compositions(vals, n)
         result = {}
         for i, a in enumerate(menu.actions):
@@ -388,7 +431,7 @@ class Tabular(Rule):
         row = self.table.get(canonical_key(menu))
         if row is None:
             return self.fallback.choose(menu)
-        return ChoiceDistribution({a: row[s] for a, s in zip(menu.actions, menu.ids)})
+        return ChoiceDistribution.on(menu, [row[s] for s in menu.ids])
 
 
 _M64 = (1 << 64) - 1
@@ -436,14 +479,12 @@ class Perturbed(Rule):
         return [delta * (2.0 * (_splitmix64(key ^ _action_hash(s)) / 2.0**64) - 1.0) for s in ids]
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
-        probs = self.base.choose(menu).probs
-        actions = menu.actions
-        weighted = {
-            a: p * math.exp(s) if p > 0 else 0.0
-            for a, p, s in zip(actions, [probs[a] for a in actions], self._shocks(menu, menu.ids))
-        }
-        total = math.fsum(weighted.values())
-        return ChoiceDistribution({a: w / total for a, w in weighted.items()})
+        base = self.base.choose(menu).aligned(menu)
+        weighted = [
+            p * math.exp(s) if p > 0 else 0.0 for p, s in zip(base, self._shocks(menu, menu.ids))
+        ]
+        total = math.fsum(weighted)
+        return ChoiceDistribution.on(menu, [w / total for w in weighted])
 
 
 def rule_to_json(rule: Rule) -> dict:

@@ -405,6 +405,9 @@ class Utility:
             raise ValueError(
                 f"{self.space.kind} utility needs {expected} coefficients, got {n}"
             )
+        if not all(map(math.isfinite, self.coeffs)):
+            named = {k: v for k, v in self.to_json().items() if k != "space"}
+            raise ValueError(f"utility coefficients must be finite, got {named}")
 
     @staticmethod
     def scalar_beta(beta: float) -> "Utility":

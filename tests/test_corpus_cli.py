@@ -717,6 +717,10 @@ class TestExitCodes:
                                                         "probs": [0.5, 0.5]}}],
                 },
             ),
+            "utility_nan": write(
+                tmp_path / "utility_nan.json", {"space": scalar_space, "beta": math.nan}
+            ),
+            "mnl_nan": write(tmp_path / "mnl_nan.json", {"type": "mnl", "beta": math.nan}),
             "out": str(tmp_path / "out"),
         }
 
@@ -817,6 +821,10 @@ class TestExitCodes:
             "check", "--rule", "uniform", "--corpus", "sampler_key_unknown",
         ],
         "check_spec_key_unknown": ["check", "--rule", "uniform", "--corpus", "spec_key_unknown"],
+        "certify_utility_beta_nan": [
+            "certify", "--rule", "mnl", "--menus", "three", "--utility", "utility_nan",
+        ],
+        "check_mnl_beta_nan": ["check", "--rule", "mnl_nan", "--menus", "three"],
     }
 
     # each spec error names what is wrong

@@ -433,6 +433,14 @@ class TestCertify:
         with pytest.raises(ValueError, match="non-positive"):
             certify_closeness(MNL(math.inf), [UNIT], Utility.scalar_beta(1.0))
 
+    def test_nan_residual_fails_the_reconstruction_check(self):
+        # beta * 10 overflows to inf, so the residuals r = ln p - u hold
+        # -inf and the centered shocks NaN; NaN > tol is false, so the
+        # check must reject whatever is not within tol
+        menu = scalar_menu({"a": 0.0, "b": 10.0})
+        with pytest.raises(RuntimeError, match="reconstruction"):
+            certify_closeness(MNL(1.0), [menu], Utility.scalar_beta(1e308))
+
     def test_certificate_json_schema(self):
         cert = certify_closeness(MNL(1.0), [UNIT], Utility.scalar_beta(1.0))
         data = cert.to_json()

@@ -135,6 +135,13 @@ class TestMNL:
         with pytest.raises(SpaceMismatchError):
             MNL(1.0).choose(menu_of(Space.vector(2), {"a": (0.0, 1.0)}))
 
+    def test_nan_beta_rejected(self):
+        # +-inf are the argmax and argmin limits; NaN is no limit
+        with pytest.raises(ValueError, match="NaN"):
+            MNL(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            rule_from_json({"type": "mnl", "beta": math.nan})
+
 
 class TestMNLProperties:
     @given(

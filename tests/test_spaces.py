@@ -272,6 +272,19 @@ class TestCumulants:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "space, coeffs, named",
+        [
+            (Space.scalar(), (math.nan,), "{'beta': nan}"),
+            (Space.mean_stddev(), (1.0, -math.inf), "{'gamma1': 1.0, 'gamma2': -inf}"),
+            (Space.prizes(PRIZES), (0.0, math.inf, 1.0), "{'weights': {'gold': 0.0, 'silk': inf"),
+        ],
+    )
+    def test_utility_coefficients_must_be_finite(self, space, coeffs, named):
+        with pytest.raises(ValueError, match="coefficients must be finite") as err:
+            Utility(space, coeffs)
+        assert named in str(err.value)
+
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
             Outcome(Space.mean_stddev(), (0.0, -1.0))

@@ -58,7 +58,8 @@ def test_tracer_wraps_a_check(tmp_path):
     assert metrics["axioms.pairs_compared"] == 3
     assert metrics["rules.choose.calls"] == 10
     assert metrics["menus.menu_hash.calls"] == 5
-    assert metrics["spaces.compose.calls"] == 16
+    # the scalar product menu is one array sum: no per-outcome compose
+    assert metrics["spaces.compose.calls"] == 0
     assert metrics["menus.product.s"] > 0.0
     for name in ("cli", "rules.Perturbed.choose", "rules.MNL.choose",
                  "axioms.neutrality_epsilon", "axioms.positivity_check",
