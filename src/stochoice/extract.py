@@ -16,7 +16,6 @@ from .axioms import effective_neutrality_epsilon, power_diagonal_log
 from .menus import Menu, unit_binary_menu
 from .rules import ChoiceDistribution, Rule
 from .spaces import (
-    SCALAR,
     Outcome,
     Space,
     SpaceMismatchError,
@@ -117,7 +116,7 @@ def upsilon(
     total = math.fsum(raw)
     if total <= 0.0:
         raise ValueError("all diagonal probabilities are zero")
-    estimate = ChoiceDistribution.on(menu, [v / total for v in raw])
+    estimate = ChoiceDistribution(menu, [v / total for v in raw])
     bound = None
     if eps_decomp is not None:
         bound = (1.0 + eps_decomp) ** (1.0 / n_max) - 1.0
@@ -148,8 +147,7 @@ class ClosenessCertificate:
 def _corpus_arrays(rule: Rule, corpus: Sequence[Menu], space: Space):
     """One pass over a nonempty corpus, choosing from each menu once: the
     probability, feature row and menu index of every action in order."""
-    k = len(features(identity(space)))
-    probs, rows, sizes = [], [], []
+    probs = []
     for menu in corpus:
         if menu.space != space:
             raise SpaceMismatchError()
@@ -157,12 +155,8 @@ def _corpus_arrays(rule: Rule, corpus: Sequence[Menu], space: Space):
         if min(p) <= 0.0:
             raise ValueError("non-positive probability in corpus")
         probs += p
-        if space.kind == SCALAR:
-            rows.append(menu.values[:, None])
-        else:
-            rows.append(np.array([features(o) for o in menu.outcomes]).reshape(len(p), k))
-        sizes.append(len(p))
-    return np.array(probs), np.concatenate(rows), np.repeat(np.arange(len(corpus)), sizes)
+    menu_of = np.repeat(np.arange(len(corpus)), [len(m) for m in corpus])
+    return np.array(probs), np.concatenate([m.phi for m in corpus]), menu_of
 
 
 def _extremes(r: np.ndarray, menu_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +230,12 @@ def certify_closeness(
     log_p = np.log(probs)
     if u is None:
         u = Utility(space, _min_delta_coeffs(phi, log_p, menu_of))
-    utilities = phi @ np.array(u.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        utilities = phi @ np.array(u.coeffs)
+    bad = np.flatnonzero(~np.isfinite(utilities))
+    if bad.size:
+        named = {k: v for k, v in u.to_json().items() if k != "space"}
+        raise ValueError(f"utility {named} is not finite on menu {menu_ids[menu_of[bad[0]]]}")
     r = log_p - utilities
     top, bottom = _extremes(r, menu_of)
     s = r - ((r[top] + r[bottom]) / 2.0)[menu_of]

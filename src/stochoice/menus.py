@@ -24,6 +24,7 @@ from .spaces import (
     _compose_all,
     _trusted_outcome,
     equal_outcome_blocks,
+    features,
     outcome_from_json,
     outcome_to_json,
     outcomes_equal,
@@ -87,7 +88,7 @@ def _check_atoms(a: ActionId) -> None:
 
 # what a menu knows beyond its space and factors; a product menu can
 # derive each of them from its factors
-_DERIVED = ("_entries", "_actions", "_outcomes", "_values", "_ids", "_index")
+_DERIVED = ("_entries", "_actions", "_outcomes", "_phi", "_ids", "_index", "_hash")
 
 
 class Menu:
@@ -97,10 +98,10 @@ class Menu:
     A menu is immutable, and equal menus have equal spaces and entries.
 
     ``Menu(space, entries)`` validates its entries.  A product menu
-    keeps its two factors instead: its outcomes are composed once, and
-    a scalar one holds them as the float array ``values``.  Its
-    ``entries``, ``actions`` and scalar ``outcomes`` are built on first
-    use; ``len``, ``index`` and ``menu_hash`` never build them.
+    keeps its two factors instead, and sums their feature rows ``phi``.
+    A scalar product's ``entries``, ``actions`` and ``outcomes`` are
+    built on first use; ``len``, ``index`` and ``menu_hash`` never
+    build them.  Any other product composes its outcomes once.
     """
 
     __slots__ = ("space", "_factors", *_DERIVED)
@@ -180,23 +181,31 @@ class Menu:
         return self._outcomes
 
     @property
-    def values(self) -> np.ndarray:
-        """A scalar menu's outcomes as one read-only float array, aligned
-        with ``entries``; a product's is the outer sum of its factors'."""
-        if self.space.kind != SCALAR:
-            raise SpaceMismatchError()
-        if self._values is None:
+    def phi(self) -> np.ndarray:
+        """Each outcome's ``features`` as one read-only (len, k) float
+        array, aligned with ``entries``.  phi is additive over
+        composition, so a product's rows are sums of its factors' rows."""
+        if self._phi is None:
             if self._factors is None:
-                values = np.array([o.value for o in self.outcomes], dtype=float)
+                phi = np.array([features(o) for o in self.outcomes], dtype=float)
             else:
                 m1, m2 = self._factors
                 # a sum may overflow to inf, as Python floats do silently;
-                # product rejects it
+                # product rejects it on scalar menus
                 with np.errstate(over="ignore"):
-                    values = np.add.outer(m1.values, m2.values).ravel()
-            values.flags.writeable = False
-            return self._cache("_values", values)
-        return self._values
+                    rows = m1.phi[:, None, :] + m2.phi[None, :, :]
+                phi = rows.reshape(len(self), rows.shape[2])
+            phi.flags.writeable = False
+            return self._cache("_phi", phi)
+        return self._phi
+
+    @property
+    def values(self) -> np.ndarray:
+        """A scalar menu's outcomes as one read-only float array, aligned
+        with ``entries``: the column of ``phi``."""
+        if self.space.kind != SCALAR:
+            raise SpaceMismatchError()
+        return self.phi[:, 0]
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -393,11 +402,13 @@ def canonical_key(menu: Menu) -> str:
 
 
 def menu_hash(menu: Menu) -> int:
-    """64-bit digest of the canonical encoding, streamed to keep large
-    power menus from materializing the full key string."""
-    head, body = _canonical_parts(menu)
-    h = hashlib.blake2b(head.encode(), digest_size=8)
-    for part in body:
-        h.update(part.encode())
-        h.update(b";")
-    return int.from_bytes(h.digest(), "big")
+    """64-bit digest of the canonical encoding, kept on the menu; streamed
+    to keep large power menus from materializing the full key string."""
+    if menu._hash is None:
+        head, body = _canonical_parts(menu)
+        h = hashlib.blake2b(head.encode(), digest_size=8)
+        for part in body:
+            h.update(part.encode())
+            h.update(b";")
+        menu._cache("_hash", int.from_bytes(h.digest(), "big"))
+    return menu._hash

@@ -19,7 +19,7 @@ from scipy.special import gammaln, log_ndtr
 
 from .menus import ActionId, Menu, action_str, canonical_key, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
-from .spaces import SpaceMismatchError, Utility, evaluate, json_int, sort_and_cut
+from .spaces import SpaceMismatchError, Utility, json_int, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
@@ -33,47 +33,29 @@ QUAD_TOL = 1e-10
 class ChoiceDistribution:
     """Probabilities over a menu's actions; nonnegative, summing to 1.
 
-    A rule's distribution (``ChoiceDistribution.on``) holds the list ``p``
-    aligned with its menu's entries, and ``dist[a]`` reads it at
-    ``menu.index(a)``.  ``ChoiceDistribution(mapping)`` holds a mapping of
-    each action to its probability, and no menu.  Either way ``probs``,
-    ``items()`` and ``to_json()`` build a mapping only when called.
+    ``p`` is a list aligned with the menu's entries, and ``dist[a]``
+    reads it at ``menu.index(a)``.  ``probs``, ``items()`` and
+    ``to_json()`` build a mapping only when called.
     """
 
-    __slots__ = ("menu", "p", "_probs")
+    __slots__ = ("menu", "p")
 
-    def __init__(self, probs: Mapping[ActionId, float]) -> None:
-        self.menu = None
-        self._probs = dict(probs)
-        self.p = list(self._probs.values())
-        self._check()
-
-    @classmethod
-    def on(cls, menu: Menu, p: list[float]) -> "ChoiceDistribution":
+    def __init__(self, menu: Menu, p: list[float]) -> None:
         """The distribution with p[i] the probability of entry i."""
         if len(p) != len(menu):
             raise ValueError(f"{len(p)} probabilities for {len(menu)} actions")
-        dist = object.__new__(cls)
-        dist.menu, dist.p, dist._probs = menu, p, None
-        dist._check()
-        return dist
-
-    def _check(self) -> None:
-        if any(not p >= 0 for p in self.p):
+        if any(not q >= 0 for q in p):
             raise ValueError("negative or NaN choice probability")
-        total = math.fsum(self.p)
+        total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"choice probabilities sum to {total!r}, not 1")
+        self.menu, self.p = menu, p
 
     @property
-    def probs(self) -> Mapping[ActionId, float]:
-        if self._probs is None:
-            self._probs = dict(zip(self.menu.actions, self.p))
-        return self._probs
+    def probs(self) -> dict[ActionId, float]:
+        return dict(zip(self.menu.actions, self.p))
 
     def __getitem__(self, a: ActionId) -> float:
-        if self.menu is None:
-            return self._probs[a]
         return self.p[self.menu.index(a)]
 
     def __eq__(self, other) -> bool:
@@ -95,8 +77,6 @@ class ChoiceDistribution:
         return self.probs.items()
 
     def to_json(self) -> dict:
-        if self.menu is None:
-            return {action_str(a): p for a, p in self._probs.items()}
         return dict(zip(self.menu.ids, self.p))
 
 
@@ -139,7 +119,7 @@ class MNL(Rule):
             p = hit / hit.sum()
         else:
             p = _softmax(self.beta * vals)
-        return ChoiceDistribution.on(menu, p.tolist())
+        return ChoiceDistribution(menu, p.tolist())
 
 
 @dataclass(frozen=True)
@@ -151,15 +131,15 @@ class GeneralMNL(Rule):
     def choose(self, menu: Menu) -> ChoiceDistribution:
         if menu.space != self.utility.space:
             raise SpaceMismatchError()
-        us = np.array([evaluate(self.utility, o) for o in menu.outcomes])
-        return ChoiceDistribution.on(menu, _softmax(us).tolist())
+        us = menu.phi @ np.array(self.utility.coeffs)
+        return ChoiceDistribution(menu, _softmax(us).tolist())
 
 
 @dataclass(frozen=True)
 class Uniform(Rule):
     def choose(self, menu: Menu) -> ChoiceDistribution:
         n = len(menu)
-        return ChoiceDistribution.on(menu, [1.0 / n] * n)
+        return ChoiceDistribution(menu, [1.0 / n] * n)
 
 
 @dataclass(frozen=True)
@@ -269,7 +249,7 @@ class IARU(Rule):
                 f"IARU probabilities sum to {total!r} before renormalization"
             )
         group_p = group_mass / counts / total
-        return ChoiceDistribution.on(menu, group_p[group_of].tolist())
+        return ChoiceDistribution(menu, group_p[group_of].tolist())
 
     def log_diagonal(self, menu: Menu, n: int) -> dict[ActionId, float]:
         """ln P[a^n] on power(menu, n) for each base action a, without
@@ -431,7 +411,7 @@ class Tabular(Rule):
         row = self.table.get(canonical_key(menu))
         if row is None:
             return self.fallback.choose(menu)
-        return ChoiceDistribution.on(menu, [row[s] for s in menu.ids])
+        return ChoiceDistribution(menu, [row[s] for s in menu.ids])
 
 
 _M64 = (1 << 64) - 1
@@ -480,11 +460,19 @@ class Perturbed(Rule):
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         base = self.base.choose(menu).aligned(menu)
-        weighted = [
-            p * math.exp(s) if p > 0 else 0.0 for p, s in zip(base, self._shocks(menu, menu.ids))
-        ]
-        total = math.fsum(weighted)
-        return ChoiceDistribution.on(menu, [w / total for w in weighted])
+        shocks = self._shocks(menu, menu.ids)
+        try:
+            weighted = [p * math.exp(s) if p > 0 else 0.0 for p, s in zip(base, shocks)]
+            total = math.fsum(weighted)
+        except OverflowError:
+            total = 0.0
+        if total == 0.0:
+            # every weight overflows or underflows: shift the shocks by the
+            # largest one that carries weight
+            top = max(s for p, s in zip(base, shocks) if p > 0)
+            weighted = [p * math.exp(s - top) if p > 0 else 0.0 for p, s in zip(base, shocks)]
+            total = math.fsum(weighted)
+        return ChoiceDistribution(menu, [w / total for w in weighted])
 
 
 def rule_to_json(rule: Rule) -> dict:

@@ -1,10 +1,11 @@
 """Product menus and choice distributions held as arrays.
 
-A product menu keeps its factors; a scalar one holds its outcomes as
-the float array ``values`` and builds ``entries`` only when asked.  A
-rule's distribution holds a list aligned with its menu's entries.  Each
-is checked against the plain menu ``Menu(space, entries)`` built from
-outcomes composed pair by pair with ``compose``.
+A product menu keeps its factors and sums their feature rows ``phi``; a
+scalar one holds its outcomes as the column ``values`` and builds
+``entries`` only when asked.  A rule's distribution holds a list
+aligned with its menu's entries.  Each is checked against the plain
+menu ``Menu(space, entries)`` built from outcomes composed pair by pair
+with ``compose``.
 """
 
 import copy
@@ -12,6 +13,7 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,7 +38,9 @@ from stochoice import (
     certify_closeness,
     compose,
     diagonal_action,
+    features,
     menu_hash,
+    menu_of,
     power,
     probit,
     product,
@@ -174,6 +178,79 @@ class TestProductMenus:
             del unit_binary_menu().space
 
 
+# a few outcomes of each space; matrices are well conditioned, so ln|det|
+# of their products keeps its digits
+FEATURE_POOLS = {
+    "scalar": (Space.scalar(), [0.0, 0.1, -2.5, 1.0 / 3.0]),
+    "vector": (Space.vector(2), [(0.1, 0.2), (-2.5, 1.0 / 3.0), (7e5, -0.0)]),
+    "mean_stddev": (Space.mean_stddev(), [(0.1, 0.2), (-2.5, 1.0 / 3.0), (1.0, 0.0)]),
+    "lottery": (
+        Space.distribution(3),
+        [((0.0, 0.2), (0.5, 0.3), (1.0, 0.5)), ((0.25, 1.0),), ((-0.5, 0.6), (1.5, 0.4))],
+    ),
+    "lottery_k0": (Space.distribution(0), [((0.0, 0.2), (0.5, 0.8)), ((0.25, 1.0),)]),
+    "prizes": (Space.prizes(("g", "s")), [(), ("g",), ("s", "g", "g")]),
+    "matrix": (
+        Space.matrix(2),
+        [((2.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (0.0, 1.0)), ((0.0, -1.0), (1.0, 0.0))],
+    ),
+}
+# where phi's sums of factor rows agree with features of the composed
+# outcome bit for bit; elsewhere they round differently
+EXACT_FEATURES = ("scalar", "vector", "prizes")
+
+_feature_recipes = st.recursive(
+    st.dictionaries(_labels, st.integers(0, 2), min_size=1, max_size=3).map(
+        lambda d: ("leaf", d)
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.just("product"), inner, inner),
+        st.tuples(st.just("power"), inner, st.integers(1, 3)),
+    ),
+    max_leaves=3,
+).filter(lambda r: size(r) <= 64)
+
+
+def build_in(kind, recipe) -> Menu:
+    if recipe[0] == "leaf":
+        space, pool = FEATURE_POOLS[kind]
+        return menu_of(space, {a: pool[i % len(pool)] for a, i in recipe[1].items()})
+    if recipe[0] == "product":
+        return product(build_in(kind, recipe[1]), build_in(kind, recipe[2]))
+    return power(build_in(kind, recipe[1]), recipe[2])
+
+
+class TestFeatureRows:
+    @pytest.mark.parametrize("kind", sorted(FEATURE_POOLS))
+    @given(recipe=_feature_recipes)
+    def test_rows_are_the_features_of_the_composed_outcomes(self, kind, recipe):
+        built = build_in(kind, recipe)
+        plain = Menu(built.space, built.entries)
+        k = len(features(plain.outcomes[0]))
+        expected = np.array([features(o) for o in plain.outcomes]).reshape(len(plain), k)
+        assert built.phi.shape == plain.phi.shape == (len(plain), k)
+        assert plain.phi.tolist() == expected.tolist()
+        if kind in EXACT_FEATURES:
+            assert built.phi.tolist() == expected.tolist()
+        else:
+            np.testing.assert_allclose(built.phi, expected, rtol=1e-12, atol=1e-12)
+        for menu in (built, plain):
+            assert not menu.phi.flags.writeable
+            with pytest.raises(ValueError):
+                menu.phi[0] = 1.0
+
+    @pytest.mark.parametrize("kind", sorted(FEATURE_POOLS))
+    @given(recipe=_feature_recipes)
+    def test_general_mnl_agrees_with_the_plain_menu(self, kind, recipe):
+        built = build_in(kind, recipe)
+        plain = Menu(built.space, built.entries)
+        k = plain.phi.shape[1]
+        rule = GeneralMNL(Utility(built.space, [0.7, -0.4, 0.2][:k] + [0.3] * (k - 3)))
+        np.testing.assert_allclose(
+            rule.choose(built).p, rule.choose(plain).p, rtol=1e-12, atol=1e-12
+        )
+
+
 def _rules():
     table = Tabular.from_entries(
         [(scalar_menu({"a": 0.0}), {"a": 1.0})], fallback=Perturbed(Uniform(), 0.1, 3)
@@ -217,22 +294,13 @@ class TestDistributions:
         # a distribution read through an equal menu that is not its own
         assert dist.aligned(plain) == twin.aligned(built)
 
-    def test_mapping_form_keeps_its_views(self):
-        probs = {"a": 0.25, ("a", "b"): 0.75}
-        dist = ChoiceDistribution(probs)
-        assert dist.menu is None
-        assert dist["a"] == 0.25 and dist[("a", "b")] == 0.75
-        assert dist.probs == probs and dict(dist.items()) == probs
-        assert dist.to_json() == {"a": 0.25, "(a,b)": 0.75}
-        assert dist == ChoiceDistribution(dict(reversed(probs.items())))
-        with pytest.raises(KeyError):
-            dist["b"]
-
     def test_mapping_and_array_forms_are_equal(self):
         menu = scalar_menu({"a": 0.0, "b": 1.0})
         dist = MNL(1.0).choose(menu)
-        assert dist == ChoiceDistribution(dist.probs)
-        assert repr(dist) == repr(ChoiceDistribution(dist.probs))
+        twin = Menu(menu.space, menu.entries)
+        assert twin is not menu
+        assert dist == ChoiceDistribution(twin, list(dist.p))
+        assert repr(dist) == repr(ChoiceDistribution(twin, list(dist.p)))
 
     @pytest.mark.parametrize(
         "p, message",
@@ -245,7 +313,7 @@ class TestDistributions:
     )
     def test_array_form_validates(self, p, message):
         with pytest.raises(ValueError, match=message):
-            ChoiceDistribution.on(unit_binary_menu(), p)
+            ChoiceDistribution(unit_binary_menu(), p)
 
 
 def test_product_paths_build_no_outcomes(monkeypatch):

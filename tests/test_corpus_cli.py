@@ -720,6 +720,10 @@ class TestExitCodes:
             "utility_nan": write(
                 tmp_path / "utility_nan.json", {"space": scalar_space, "beta": math.nan}
             ),
+            "utility_huge": write(
+                tmp_path / "utility_huge.json", {"space": scalar_space, "beta": 1e308}
+            ),
+            "ten": write(tmp_path / "ten.json", scalars(0.0, 10.0)),
             "mnl_nan": write(tmp_path / "mnl_nan.json", {"type": "mnl", "beta": math.nan}),
             "out": str(tmp_path / "out"),
         }
@@ -842,7 +846,6 @@ class TestExitCodes:
         "check_gaussian_scale_infinite": ["check", "--rule", "gaussian_infinite", "--menus", "unit"],
         "check_gaussian_scale_overflows": ["check", "--rule", "gaussian_huge", "--menus", "unit"],
         "check_gumbel_scale_nan": ["check", "--rule", "gumbel_nan", "--menus", "unit"],
-        "check_delta_overflows": ["check", "--rule", "delta_huge", "--menus", "unit"],
         "check_delta_infinite": ["check", "--rule", "delta_infinite", "--menus", "unit"],
         "check_lottery_sum_overflows": [
             "check", "--rule", "uniform", "--menus", "lottery_huge",
@@ -868,6 +871,20 @@ class TestExitCodes:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    def test_shifted_shocks_exit_0_or_1(self, inputs):
+        # shocks of +-10000 overflow exp unless shifted; the distribution
+        # is well defined, so check reports on it
+        done = run_capped(["check", "--rule", inputs["delta_huge"], "--menus", inputs["unit"]])
+        assert done.returncode in (0, 1), done.stderr
+
+    def test_overflowing_utility_is_named(self, inputs):
+        # in a child process, so that numpy's warnings would reach stderr
+        done = run_capped(["certify", "--rule", inputs["mnl"], "--menus", inputs["ten"],
+                           "--utility", inputs["utility_huge"]])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: utility {'beta': 1e+308} is not finite")
+        assert "RuntimeWarning" not in done.stderr and "reconstruction" not in done.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -84,14 +84,14 @@ class TieTable(Rule):
 
     def choose(self, menu):
         h = menu_hash(menu)
-        weights = {}
+        weights = []
         for a in menu.actions:
             key = f"{self.seed}/{h}/{action_str(a)}".encode()
-            weights[a] = float(hashlib.blake2b(key, digest_size=1).digest()[0] % 4)
-        total = math.fsum(weights.values())
+            weights.append(float(hashlib.blake2b(key, digest_size=1).digest()[0] % 4))
+        total = math.fsum(weights)
         if total == 0.0:
             return Uniform().choose(menu)
-        return ChoiceDistribution({a: w / total for a, w in weights.items()})
+        return ChoiceDistribution(menu, [w / total for w in weights])
 
 
 def reference_neutrality(rule, menu, outcome_tol):

@@ -434,12 +434,19 @@ class TestCertify:
             certify_closeness(MNL(math.inf), [UNIT], Utility.scalar_beta(1.0))
 
     def test_nan_residual_fails_the_reconstruction_check(self):
-        # beta * 10 overflows to inf, so the residuals r = ln p - u hold
-        # -inf and the centered shocks NaN; NaN > tol is false, so the
-        # check must reject whatever is not within tol
-        menu = scalar_menu({"a": 0.0, "b": 10.0})
+        # the utilities 1.5e308 and 1.6e308 are finite, but the midpoint
+        # of their residuals overflows, so the shocks hold inf and the
+        # rebuilt probabilities NaN; NaN > tol is false, so the check
+        # must reject whatever is not within tol
+        menu = scalar_menu({"a": 1.5, "b": 1.6})
         with pytest.raises(RuntimeError, match="reconstruction"):
             certify_closeness(MNL(1.0), [menu], Utility.scalar_beta(1e308))
+
+    def test_overflowing_utility_is_named(self):
+        # beta * 10 overflows to inf
+        menu = scalar_menu({"a": 0.0, "b": 10.0})
+        with pytest.raises(ValueError, match=r"utility \{'beta': 1e\+308\} is not finite on menu m1"):
+            certify_closeness(MNL(1.0), [UNIT, menu], Utility.scalar_beta(1e308), ["m0", "m1"])
 
     def test_certificate_json_schema(self):
         cert = certify_closeness(MNL(1.0), [UNIT], Utility.scalar_beta(1.0))

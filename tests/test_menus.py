@@ -337,6 +337,48 @@ def test_choose_applies_the_pinned_shocks(name):
     assert [dist[a] for a in menu.actions] == [terms[a] / total for a in menu.actions]
 
 
+@pytest.mark.parametrize(
+    "menu, seed",
+    [(scalar_menu({"a": 0.0, "b": 1.0, "c": 2.0}), 1), (unit_binary_menu(), 324)],
+    ids=["overflow", "underflow"],
+)
+def test_choose_shifts_shocks_past_the_float_range(menu, seed):
+    # at seed 1 a shock of 844 overflows exp; at seed 324 the shocks are
+    # -946 and -945, whose exps both underflow to 0.  Shifted by the
+    # largest shock, each probability is its exp(shock) over their sum.
+    import math
+
+    from stochoice import Perturbed, Uniform
+
+    rule = Perturbed(Uniform(), 1000, seed)
+    shocks = [rule.shock(menu, a) for a in menu.actions]
+    assert max(shocks) > 709.8 or max(shocks) < -745.2
+    dist = rule.choose(menu)
+    terms = [math.exp(s - max(shocks)) for s in shocks]
+    expected = [t / math.fsum(terms) for t in terms]
+    assert dist.aligned(menu) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert math.fsum(dist.aligned(menu)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_menu_hash_is_kept_on_the_menu(monkeypatch):
+    # three choices from one power menu encode it once
+    import stochoice.menus
+    from stochoice import MNL, Perturbed
+
+    sizes = []
+    encode = stochoice.menus._canonical_parts
+    monkeypatch.setattr(
+        stochoice.menus, "_canonical_parts", lambda m: (sizes.append(len(m)), encode(m))[1]
+    )
+    menu = power(unit_binary_menu(), 12)
+    rule = Perturbed(MNL(1.0), 0.05, 7)
+    first, second, third = (rule.choose(menu) for _ in range(3))
+    assert sizes == [4096]
+    assert first.p == second.p == third.p
+    assert menu_hash(menu) == menu_hash(Menu(menu.space, menu.entries))
+    assert sizes == [4096, 4096]
+
+
 def _exact_digest(menu):
     # menu_hash reads 12 significant digits; this reads every bit
     return hashlib.sha256(repr([o.value for _, o in menu.entries]).encode()).hexdigest()

@@ -394,15 +394,15 @@ class TestPerturbed:
 class TestChoiceDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            ChoiceDistribution({"a": -0.1, "b": 1.1})
+            ChoiceDistribution(unit_binary_menu(), [-0.1, 1.1])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            ChoiceDistribution({"a": 0.6, "b": 0.6})
+            ChoiceDistribution(unit_binary_menu(), [0.6, 0.6])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            ChoiceDistribution({"a": math.nan, "b": 1.0})
+            ChoiceDistribution(unit_binary_menu(), [math.nan, 1.0])
 
 
 class TestRuleJson:

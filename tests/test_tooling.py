@@ -113,6 +113,43 @@ def test_upsilon_hashes_the_power_menu_once(tmp_path):
     assert metrics["rules.choose.calls"] == 2
 
 
+def test_general_mnl_reads_feature_rows(tmp_path):
+    # GeneralMNL on a lottery power menu reads its phi, the sums of its
+    # factors' rows: no utility is evaluated outcome by outcome
+    rule = tmp_path / "rule.json"
+    utility = {"space": {"kind": "discrete_distribution", "moment_order": 3},
+               "gammas": [1.0, -0.5, 0.1]}
+    rule.write_text(
+        json.dumps({"type": "perturbed", "base": {"type": "general_mnl", "utility": utility},
+                    "delta": 0.05, "seed": 7}),
+        encoding="utf-8",
+    )
+    supports = [[0.0, 1.0], [-0.5, 0.5, 1.5], [0.25]]
+    menu = tmp_path / "lotteries.json"
+    menu.write_text(
+        json.dumps({"space": utility["space"],
+                    "actions": [{"id": f"l{i}", "outcome": {"support": s,
+                                                            "probs": [1.0 / len(s)] * len(s)}}
+                                for i, s in enumerate(supports)]}),
+        encoding="utf-8",
+    )
+    argv = ["upsilon", "--rule", str(rule), "--menus", str(menu), "--n-max", "6", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_ARGV, str(ROOT / "src"), str(ROOT / "benchmark"),
+         json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    metrics = result["metrics"]
+    assert metrics["spaces.evaluate.calls"] == 0
+    assert metrics["rules.choose.calls"] == 2
+    assert metrics["rules.actions_chosen"] == 2 * 3**6
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize takes about 0.2 s to import; only the fits that
     # solve a linear program load it, inside the function that needs it.
