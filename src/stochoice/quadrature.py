@@ -1,12 +1,14 @@
-"""Adaptive Simpson quadrature over a finite interval.
+"""Adaptive Gauss–Kronrod (G7-K15) quadrature over a finite interval.
 
 The integrand maps a numpy array of points to an array of values, so
-refinement rounds evaluate whole batches of midpoints at once.  It may
-also return one row of values per integral, shape (rows, points): all
-rows then share the panels, and a panel's error is the sum of its rows'
-errors.  Local error control follows the classic
-|S_fine - S_coarse| <= 15 * tol rule with the tolerance budget split
-proportionally to interval length.
+each round evaluates the 15 Kronrod nodes of every open panel in one
+call.  It may also return one row of values per integral, shape
+(rows, points): all rows then share the panels, and a panel's error is
+the sum of its rows' errors.  A panel's error estimate is |K15 - G7|,
+the difference between its 15-point Kronrod and embedded 7-point Gauss
+sums (QUADPACK's QK15: Piessens et al., 1983); the tolerance budget is
+split in proportion to panel width.  K15 is exact for polynomials of
+degree 23 and G7 for degree 13.
 """
 
 from __future__ import annotations
@@ -15,8 +17,31 @@ import math
 
 import numpy as np
 
-_SEED_PANELS = 32
+_SEED_PANELS = 8
 _MAX_DEPTH = 40
+
+# QK15 abscissae on [0, 1] from the outer node inwards; the odd-indexed
+# ones are the Gauss nodes
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+
+
+def _mirror(half, sign):
+    # the 15 entries in ascending node order from the 8 of one side
+    return np.concatenate([sign * np.array(half[:-1]), half[::-1]])
+
+
+_NODES = _mirror(_XGK, -1.0)
+_KRONROD = _mirror(_WGK, 1.0)
+_ERROR = _KRONROD - _mirror(_WG, 1.0)
 
 
 class QuadratureError(RuntimeError):
@@ -24,9 +49,10 @@ class QuadratureError(RuntimeError):
 
 
 def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10):
-    """Integrate f over [lo, hi] to absolute tolerance tol; raise
-    QuadratureError when panels are still unresolved at depth 40, or
-    when the interval or a panel estimate is not finite.
+    """Integrate f over [lo, hi] to absolute tolerance tol by adaptive
+    G7-K15 (the name is kept from the adaptive Simpson rule it replaced);
+    raise QuadratureError when panels are still unresolved at depth 40,
+    or when the interval or a panel estimate is not finite.
 
     Returns a float, or an array of one integral per row when f returns
     rows; the rows' absolute errors then sum to at most tol."""
@@ -37,41 +63,30 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10):
     edges = np.linspace(lo, hi, _SEED_PANELS + 1)
     a = edges[:-1]
     b = edges[1:]
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # each panel gets a tolerance share proportional to its width
-    share = np.full(_SEED_PANELS, tol / _SEED_PANELS)
-    total = np.zeros(fa.shape[:-1])
+    total = 0.0
+    # the open panels have been halved depth times
     depth = 0
     while a.size:
-        if depth >= _MAX_DEPTH:
+        if depth > _MAX_DEPTH:
             raise QuadratureError(
-                f"adaptive Simpson left {a.size} panels unresolved at depth {_MAX_DEPTH}"
+                f"adaptive Gauss-Kronrod left {a.size} panels unresolved at depth {_MAX_DEPTH}"
             )
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        fine = left + right
-        err = np.abs(fine - coarse).reshape(-1, a.size).sum(axis=0)
+        half = 0.5 * (b - a)
+        centre = a + half
+        fx = f((centre[:, None] + half[:, None] * _NODES).ravel())
+        fx = fx.reshape(fx.shape[:-1] + (a.size, _NODES.size))
+        kronrod = (fx @ _KRONROD) * half
+        err = np.abs((fx @ _ERROR) * half).reshape(-1, a.size).sum(axis=0)
         # a non-finite panel never converges, and its refinement would
         # double the panels every round until memory runs out
-        if not np.isfinite(err).all():
-            raise QuadratureError("adaptive Simpson met a non-finite panel estimate")
-        done = err <= 15.0 * share
-        # Richardson extrapolation on accepted panels
-        total += (fine + (fine - coarse) / 15.0).take(done.nonzero()[0], axis=-1).sum(axis=-1)
-        # split each kept panel: its points a, lm, m, rm, b give the left
-        # half (a, lm, m) and the right half (m, rm, b); panels are picked
-        # by index, as a boolean mask on the last axis of rows is slow
+        if not (np.isfinite(err).all() and np.isfinite(kronrod).all()):
+            raise QuadratureError("adaptive Gauss-Kronrod met a non-finite panel estimate")
+        done = err <= tol * (b - a) / (hi - lo)
+        # panels are picked by index, as a boolean mask on the last axis
+        # of rows is slow
+        total = total + kronrod.take(done.nonzero()[0], axis=-1).sum(axis=-1)
         keep = (~done).nonzero()[0]
-        xs = np.array([a, lm, m, rm, b]).take(keep, axis=-1)
-        fs = np.array([fa, flm, fm, frm, fb]).take(keep, axis=-1)
-        a, m, b = np.concatenate([xs[:3], xs[2:]], axis=-1)
-        fa, fm, fb = np.concatenate([fs[:3], fs[2:]], axis=-1)
-        coarse = np.concatenate([left.take(keep, axis=-1), right.take(keep, axis=-1)], axis=-1)
-        share = np.concatenate([share[keep] / 2.0] * 2)
+        a, centre, b = a[keep], centre[keep], b[keep]
+        a, b = np.concatenate([a, centre]), np.concatenate([centre, b])
         depth += 1
-    return total if total.ndim else float(total)
+    return total if np.ndim(total) else float(total)

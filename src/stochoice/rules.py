@@ -214,8 +214,9 @@ class IARU(Rule):
     P[a] = P[o(a) + eps_a = max_b o(b) + eps_b] with iid shocks.  With
     H(y) = prod_b cdf(y - o(b)) the cdf of the best utility, a wins with
     the integral of pdf(y - o(a)) * H(y) / cdf(y - o(a)) over y.  One
-    adaptive Simpson run takes every outcome group's integral at once,
-    and the results are renormalized.
+    adaptive G7-K15 run takes every outcome group's integral at once,
+    with |K15 - G7| summed over the groups as each panel's error and a
+    depth cap of 40, and the results are renormalized.
     ``log_diagonal`` gives the diagonal probabilities of a power menu in
     log space from its outcome groups.
     """
@@ -343,7 +344,8 @@ def _log_integral(shock: ShockSpec, shifts: np.ndarray, log_mult: np.ndarray) ->
     """ln of the integral of exp(g) for g from _log_integrand.
 
     The curvature at the peak sets the window, and exp(g - g_max) is
-    integrated by adaptive Simpson to relative tolerance DIAGONAL_RTOL."""
+    integrated by adaptive G7-K15 to relative tolerance DIAGONAL_RTOL,
+    taken against the Gaussian of the peak's curvature."""
     g = _log_integrand(shock, shifts, log_mult)
     # start where the own outcome ties the best competitor
     x0 = -float(shifts.min()) if len(shifts) else 0.0

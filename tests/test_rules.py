@@ -89,6 +89,46 @@ class TestQuadrature:
         assert QuadratureError is stochoice.quadrature.QuadratureError
         assert QuadratureError is stochoice.rules.QuadratureError
 
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 3.0), (-7.5, -2.0)])
+    def test_degree_23_is_exact_in_one_call(self, lo, hi):
+        # K15 is exact to degree 23 and G7 to degree 13, so on every seed
+        # panel the Kronrod sum is the integral and |K15 - G7| is small
+        rng = np.random.default_rng(23)
+        for degree in range(24):
+            poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1), domain=[lo, hi])
+            calls = []
+
+            def f(x):
+                calls.append(x.size)
+                return poly(x)
+
+            value = adaptive_simpson(f, lo, hi)
+            exact = poly.integ()(hi) - poly.integ()(lo)
+            assert len(calls) == 1, degree
+            assert abs(value - exact) <= 1e-13, degree
+
+    def test_probit_menus_against_quad(self):
+        # oracle: P[a] = integral of pdf(x) prod_{b != a} cdf(o(a) - o(b) + x)
+        # over a's own shock x; Gumbel IARU is MNL on the same menus
+        rng = np.random.default_rng(19)
+        for size in range(2, 7):
+            for _ in range(6):
+                values = rng.uniform(-2.0, 2.0, size)
+                menu = scalar_menu({f"a{i}": float(v) for i, v in enumerate(values)})
+                dist = probit().choose(menu)
+                for i, v in enumerate(values):
+                    others = np.delete(values, i)
+                    f = lambda x: math.exp(-0.5 * x * x + log_ndtr(v - others + x).sum())
+                    ref, _ = integrate.quad(f, -12.0, 12.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+                    assert abs(dist[f"a{i}"] - ref / math.sqrt(2.0 * math.pi)) <= 1e-13
+                ok, dev = iaru_equals_mnl_probe(1.3, [menu], 1e-14)
+                assert ok, dev
+
+    def test_non_finite_row_raises(self):
+        rows = lambda x: np.stack([norm.pdf(x), np.where(x < 0.7, 1.0, np.nan)])
+        with pytest.raises(QuadratureError, match="non-finite"):
+            adaptive_simpson(rows, 0.0, 1.0)
+
 
 class TestMNL:
     def test_symmetric_at_zero(self):

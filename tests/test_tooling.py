@@ -174,3 +174,37 @@ def test_readme_library_tour_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_check_spends_a_bounded_point_budget_per_integral(tmp_path):
+    # each IARU choice is one quadrature; the bound of 600 points per
+    # integral sits between adaptive G7-K15's ~300 and adaptive
+    # Simpson's ~2,000
+    rule = tmp_path / "rule.json"
+    rule.write_text(
+        json.dumps({"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}),
+        encoding="utf-8",
+    )
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(
+        json.dumps({"space": {"kind": "real_scalar"}, "menu_count": 6,
+                    "actions_per_menu": [2, 2],
+                    "outcome_sampler": {"low": -3, "high": 3}, "seed": 5}),
+        encoding="utf-8",
+    )
+    argv = ["check", "--rule", str(rule), "--corpus", str(corpus), "--pairs", "4",
+            "--seed", "3", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_ARGV, str(ROOT / "src"), str(ROOT / "benchmark"),
+         json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    # probit violates decomposability
+    assert result["code"] == 1
+    metrics = result["metrics"]
+    assert metrics["quadrature.calls"] == 28
+    assert metrics["quadrature.points"] / metrics["quadrature.calls"] <= 600
