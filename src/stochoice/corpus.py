@@ -10,18 +10,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
-from .menus import Menu
+from .menus import Menu, _new_menu
 from .spaces import (
     DISTRIBUTION,
     MEAN_STDDEV,
     PRIZE_STREAM,
     SCALAR,
     VECTOR,
-    Outcome,
     Space,
+    _outcomes,
+    feature_rows,
     json_int,
 )
 
@@ -90,10 +93,18 @@ def _count_range(name: str, lo, hi, least: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
+def _sampler(space: Space, params: dict, rng: random.Random) -> Callable[[], object]:
+    """A function that draws one outcome payload from rng, unchecked.
+
+    Scalar and lottery payloads come in the form Outcome stores (floats;
+    pairs sorted by point).  ``rng.uniform(a, b)`` is inlined as
+    ``a + (b - a) * rng.random()``, which is its definition, so the
+    draws are the same calls in the same order."""
     kind = space.kind
+    unit, randint = rng.random, rng.randint
     low = params.get("low", -3.0)
     high = params.get("high", 3.0)
+    span = high - low
     if kind == SCALAR:
         if params.get("integer"):
             if not (math.isfinite(low) and math.isfinite(high)):
@@ -101,53 +112,98 @@ def _sample_outcome(space: Space, params: dict, rng: random.Random) -> Outcome:
             lo, hi = math.ceil(low), math.floor(high)
             if lo > hi:
                 raise ValueError(f"no integer lies in [{low}, {high}]")
-            return Outcome(space, float(rng.randint(lo, hi)))
-        return Outcome(space, rng.uniform(low, high))
+            return lambda: float(randint(lo, hi))
+        return lambda: low + span * unit()
     if kind == VECTOR:
-        return Outcome(space, tuple(rng.uniform(low, high) for _ in range(space.d)))
+        return lambda: tuple([low + span * unit() for _ in range(space.d)])
     if kind == MEAN_STDDEV:
         sigma_low = params.get("sigma_low", 0.0)
-        sigma_high = params.get("sigma_high", 2.0)
-        return Outcome(space, (rng.uniform(low, high), rng.uniform(sigma_low, sigma_high)))
+        sigma_span = params.get("sigma_high", 2.0) - sigma_low
+        return lambda: (low + span * unit(), sigma_low + sigma_span * unit())
     if kind == DISTRIBUTION:
-        k = rng.randint(*params["support_size"])
-        points: list[float] = []
-        for _ in range(1000):
-            if len(points) == k:
-                break
-            p = rng.uniform(low, high)
-            if all(abs(p - q) > 1e-6 * max(1.0, abs(p)) for q in points):
-                points.append(p)
-        else:
-            raise RuntimeError("sampler range too narrow for distinct support")
-        weights = [rng.uniform(0.1, 1.0) for _ in range(k)]
-        total = sum(weights)
-        return Outcome(space, tuple((p, w / total) for p, w in zip(points, weights)))
+        sizes = params["support_size"]
+        weight_span = 1.0 - 0.1  # each weight is rng.uniform(0.1, 1.0)
+
+        def lottery():
+            k = randint(*sizes)
+            points: list[float] = []
+            for _ in range(1000):
+                if len(points) == k:
+                    break
+                p = low + span * unit()
+                tol = 1e-6 * max(1.0, abs(p))
+                for q in points:
+                    if not abs(p - q) > tol:
+                        break
+                else:
+                    points.append(p)
+            else:
+                raise RuntimeError("sampler range too narrow for distinct support")
+            weights = [0.1 + weight_span * unit() for _ in range(k)]
+            total = sum(weights)
+            return tuple(sorted(zip(points, [w / total for w in weights])))
+
+        return lottery
     if kind == PRIZE_STREAM:
-        length = rng.randint(params["min_len"], params["max_len"])
-        return Outcome(space, tuple(rng.choice(space.alphabet) for _ in range(length)))
+        alphabet = space.alphabet
+        return lambda: tuple(
+            [rng.choice(alphabet) for _ in range(randint(params["min_len"], params["max_len"]))]
+        )
     min_det = params.get("min_abs_det", 1e-3)
-    for _ in range(100):
-        rows = [
-            [rng.uniform(low, high) for _ in range(space.d)] for _ in range(space.d)
-        ]
-        if abs(np.linalg.det(np.array(rows))) >= min_det:
-            return Outcome(space, rows)
-    raise RuntimeError("failed to sample an invertible matrix")
+
+    def matrix():
+        for _ in range(100):
+            rows = [[low + span * unit() for _ in range(space.d)] for _ in range(space.d)]
+            if abs(np.linalg.det(np.array(rows))) >= min_det:
+                return rows
+        raise RuntimeError("failed to sample an invertible matrix")
+
+    return matrix
 
 
 def generate_corpus(spec: CorpusSpec) -> list[Menu]:
+    """The corpus of a spec: menus ``a0, a1, ...`` of random outcomes.
+
+    Every payload is drawn first, then all of them are checked at once
+    (``spaces._outcomes``), so the first invalid draw raises its error,
+    also ahead of a later sampler that gives up.  The menus' feature
+    rows are slices of one ``feature_rows`` array over the corpus."""
     rng = random.Random(spec.seed)
     dup = spec.sampler.get("duplicate_prob", DEFAULT_DUPLICATE_PROB)
-    menus = []
-    for _ in range(spec.menu_count):
-        k = rng.randint(spec.actions_min, spec.actions_max)
-        outcomes = [_sample_outcome(spec.space, spec.sampler, rng) for _ in range(k)]
-        if k >= 2 and rng.random() < dup:
-            outcomes[-1] = outcomes[rng.randrange(k - 1)]
-        entries = tuple((f"a{i}", o) for i, o in enumerate(outcomes))
-        menus.append(Menu(spec.space, entries))
-    return menus
+    draw = _sampler(spec.space, spec.sampler, rng)
+    # every draw, also one a duplicate replaces, and the draw each
+    # action takes
+    payloads: list = []
+    picks: list[int] = []
+    sizes: list[int] = []
+    failure = None
+    try:
+        for _ in range(spec.menu_count):
+            k = rng.randint(spec.actions_min, spec.actions_max)
+            start = len(payloads)
+            for _ in range(k):
+                payloads.append(draw())
+            picks += range(start, start + k)
+            if k >= 2 and rng.random() < dup:
+                picks[-1] = start + rng.randrange(k - 1)
+            sizes.append(k)
+    except RuntimeError as exc:
+        failure = exc
+    drawn = _outcomes(spec.space, payloads)
+    if failure is not None:
+        raise failure
+    outcomes = [drawn[i] for i in picks]
+    del payloads, drawn
+    phi = feature_rows(spec.space, outcomes)
+    phi.flags.writeable = False
+    ids = tuple(f"a{i}" for i in range(spec.actions_max))
+    bounds = list(accumulate(sizes, initial=0))
+    # the ids a0, a1, ... are valid by construction
+    return [
+        _new_menu(spec.space, None, entries=tuple(zip(ids, outcomes[a:b])), ids=ids[: b - a],
+                  phi=phi[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def sample_pairs(

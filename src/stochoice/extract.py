@@ -21,7 +21,7 @@ from .spaces import (
     SpaceMismatchError,
     Utility,
     basis_probes,
-    features,
+    feature_rows,
     identity,
 )
 
@@ -73,7 +73,7 @@ def fit_utility_representation(rule: Rule, space: Space) -> FitResult:
     probes = basis_probes(space)
     if not probes:
         return FitResult(Utility(space, ()), 1.0)
-    matrix = np.array([features(p) for p in probes])
+    matrix = feature_rows(space, probes)
     observed = np.array([extract_utility(rule, p) for p in probes])
     condition = float(np.linalg.cond(matrix))
     if condition > PROBE_CONDITION_LIMIT:
@@ -234,11 +234,11 @@ def certify_closeness(
         utilities = phi @ np.array(u.coeffs)
     bad = np.flatnonzero(~np.isfinite(utilities))
     if bad.size:
-        named = {k: v for k, v in u.to_json().items() if k != "space"}
-        raise ValueError(f"utility {named} is not finite on menu {menu_ids[menu_of[bad[0]]]}")
+        raise ValueError(f"utility {u._named()} is not finite on menu {menu_ids[menu_of[bad[0]]]}")
     r = log_p - utilities
     top, bottom = _extremes(r, menu_of)
-    s = r - ((r[top] + r[bottom]) / 2.0)[menu_of]
+    # halving is exact, and the halves' sum cannot overflow
+    s = r - (r[top] / 2.0 + r[bottom] / 2.0)[menu_of]
     first = np.flatnonzero(np.diff(menu_of, prepend=-1))
     logits = utilities + s
     weights = np.exp(logits - np.maximum.reduceat(logits, first)[menu_of])

@@ -21,10 +21,12 @@ from .spaces import (
     Outcome,
     Space,
     SpaceMismatchError,
+    _canonical_text,
     _compose_all,
+    _NumberTexts,
     _trusted_outcome,
     equal_outcome_blocks,
-    features,
+    feature_rows,
     outcome_from_json,
     outcome_to_json,
     outcomes_equal,
@@ -37,6 +39,12 @@ ActionId = Union[str, tuple]
 # the largest product or power menu that upsilon and the decomposability
 # check will build
 MENU_SIZE_GUARD = 1_000_000
+
+# the smallest menu whose canonical encoding formats each distinct number
+# once; measured on 4-action corpus menus, sharing the texts costs about
+# 45% more than formatting every number, and on a 6561-action lottery
+# power menu it saves about 60%
+_SHARED_TEXTS_MIN = 128
 
 _RESERVED = set("(),")
 _ACTION_TOKENS = re.compile(r"[(),]|[^(),]+")
@@ -187,7 +195,7 @@ class Menu:
         composition, so a product's rows are sums of its factors' rows."""
         if self._phi is None:
             if self._factors is None:
-                phi = np.array([features(o) for o in self.outcomes], dtype=float)
+                phi = feature_rows(self.space, self.outcomes)
             else:
                 m1, m2 = self._factors
                 # a sum may overflow to inf, as Python floats do silently;
@@ -385,13 +393,24 @@ def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
 
 
 def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
-    """Header and sorted body of the canonical encoding."""
+    """Header and sorted body of the canonical encoding.
+
+    A menu of at least _SHARED_TEXTS_MIN actions formats each distinct
+    number once: the outcomes of a power or product menu repeat a few
+    numbers many times.  A smaller menu formats every number, which is
+    cheaper where numbers rarely repeat."""
     space = menu.space
     head = f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}#"
+    pairs = zip(menu.ids, menu.values.tolist() if space.kind == SCALAR else menu.outcomes)
+    if len(menu) < _SHARED_TEXTS_MIN:
+        if space.kind == SCALAR:
+            # canonical_value's scalar format, read from the array
+            return head, sorted([f"{s}={v:.12g}" for s, v in pairs])
+        return head, sorted([f"{s}={canonical_value(o)}" for s, o in pairs])
+    texts = _NumberTexts()
     if space.kind == SCALAR:
-        # canonical_value's scalar format, read from the array
-        return head, sorted(f"{s}={v:.12g}" for s, v in zip(menu.ids, menu.values.tolist()))
-    return head, sorted(f"{s}={canonical_value(o)}" for s, o in zip(menu.ids, menu.outcomes))
+        return head, sorted([f"{s}={texts[v]}" for s, v in pairs])
+    return head, sorted([f"{s}={_canonical_text(o, texts)}" for s, o in pairs])
 
 
 def canonical_key(menu: Menu) -> str:

@@ -131,7 +131,11 @@ class GeneralMNL(Rule):
     def choose(self, menu: Menu) -> ChoiceDistribution:
         if menu.space != self.utility.space:
             raise SpaceMismatchError()
-        us = menu.phi @ np.array(self.utility.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            us = menu.phi @ np.array(self.utility.coeffs)
+        if not np.isfinite(us).all():
+            bad = menu.ids[np.flatnonzero(~np.isfinite(us))[0]]
+            raise ValueError(f"utility {self.utility._named()} is not finite at action {bad}")
         return ChoiceDistribution(menu, _softmax(us).tolist())
 
 

@@ -259,7 +259,7 @@ def _compose_all(xs: Sequence[Outcome], ys: Sequence[Outcome]) -> list[Outcome]:
     if space.kind != DISTRIBUTION:
         return [compose(x, y) for x in xs for y in ys]
     x_sizes = np.array([len(x.value) for x in xs])
-    y_rows, y_sizes = _padded(ys)
+    y_rows, y_sizes = _padded([y.value for y in ys])
     per_point = y_rows.shape[0] * y_rows.shape[1]  # padded terms of one x point
     out: list[Outcome] = []
     start = 0
@@ -268,7 +268,7 @@ def _compose_all(xs: Sequence[Outcome], ys: Sequence[Outcome]) -> list[Outcome]:
         widths = np.maximum.accumulate(x_sizes[start : start + max(1, _BLOCK // per_point)])
         fits = widths * np.arange(1, len(widths) + 1) * per_point <= _BLOCK
         stop = start + max(1, int(np.count_nonzero(fits)))
-        x_rows, x_block_sizes = _padded(xs[start:stop])
+        x_rows, x_block_sizes = _padded([x.value for x in xs[start:stop]])
         # a row too large alone takes ys in slices; rows that fit
         # together take all of ys at once, which keeps row-major order
         step = max(1, _BLOCK // (x_rows.shape[0] * x_rows.shape[1] * y_rows.shape[1]))
@@ -280,15 +280,56 @@ def _compose_all(xs: Sequence[Outcome], ys: Sequence[Outcome]) -> list[Outcome]:
     return out
 
 
-def _padded(lotteries: Sequence[Outcome]) -> tuple[np.ndarray, np.ndarray]:
-    """Each lottery's (point, weight) pairs as one row, padded with
-    (inf, inf) to the largest support, and the support sizes."""
-    sizes = np.array([len(x.value) for x in lotteries])
+def _padded(lotteries: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Each lottery payload's (point, weight) pairs as one row, padded
+    with (inf, inf) to the largest support, and the support sizes."""
+    sizes = np.fromiter(map(len, lotteries), int, len(lotteries))
     rows = np.full((len(sizes), sizes.max(), 2), np.inf)
-    rows[np.arange(sizes.max()) < sizes[:, None]] = list(
-        chain.from_iterable(x.value for x in lotteries)
-    )
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(lotteries)), float)
+    rows[np.arange(sizes.max()) < sizes[:, None]] = flat.reshape(-1, 2)
     return rows, sizes
+
+
+def _valid_lotteries(lotteries: Sequence[tuple]) -> np.ndarray:
+    """Whether each lottery payload, its pairs sorted by point, is one
+    that Outcome keeps as it is: no two adjacent points collide, every
+    point is finite, every weight lies in (0, 1], and the ``fsum`` of
+    the weights is within PROB_SUM_TOL of 1.  The weight bound is
+    stricter than Outcome, so it may flag a payload that Outcome accepts,
+    never the reverse."""
+    rows, sizes = _padded(lotteries)
+    real = np.arange(rows.shape[1]) < sizes[:, None]
+    points, weights = rows[..., 0], rows[..., 1]
+    # padding and non-finite points meet as inf - inf
+    with np.errstate(invalid="ignore"):
+        collide = _points_collide(points[:, :-1], points[:, 1:]) & real[:, 1:]
+    good = np.isfinite(points) & (weights > 0) & (weights <= 1.0)
+    ok = (good | ~real).all(axis=1) & ~collide.any(axis=1)
+    # a flagged row sums to 0 here, and its weights never reach fsum
+    sums = map(math.fsum, np.where(ok[:, None] & real, weights, 0.0).tolist())
+    return ok & (np.abs(np.fromiter(sums, float, len(ok)) - 1.0) <= PROB_SUM_TOL)
+
+
+def _outcomes(space: Space, payloads: Sequence) -> list[Outcome]:
+    """``[Outcome(space, v) for v in payloads]``.
+
+    Scalar payloads (floats) and lottery payloads (tuples of float pairs
+    sorted by point) are checked together in one array pass; any other
+    kind is built one outcome at a time.  A payload that the pass flags
+    is rebuilt through Outcome in order, so the first invalid payload
+    raises Outcome's own error."""
+    if not payloads:
+        return []
+    if space.kind == SCALAR:
+        ok = np.isfinite(np.array(payloads, dtype=float))
+    elif space.kind == DISTRIBUTION:
+        ok = _valid_lotteries(payloads)
+    else:
+        return [Outcome(space, v) for v in payloads]
+    out = [_trusted_outcome(space, v) for v in payloads]
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = Outcome(space, payloads[i])
+    return out
 
 
 # points may overflow to inf, as Python floats do silently; the
@@ -406,8 +447,11 @@ class Utility:
                 f"{self.space.kind} utility needs {expected} coefficients, got {n}"
             )
         if not all(map(math.isfinite, self.coeffs)):
-            named = {k: v for k, v in self.to_json().items() if k != "space"}
-            raise ValueError(f"utility coefficients must be finite, got {named}")
+            raise ValueError(f"utility coefficients must be finite, got {self._named()}")
+
+    def _named(self) -> dict:
+        """The coefficients as ``to_json`` names them, for messages."""
+        return {k: v for k, v in self.to_json().items() if k != "space"}
 
     @staticmethod
     def scalar_beta(beta: float) -> "Utility":
@@ -461,22 +505,34 @@ def features(x: Outcome) -> tuple[float, ...]:
     x itself for scalars and vectors, (m, sigma^2) for mean-stddev
     pairs, the cumulants kappa_1..kappa_n for distributions, the count
     of each alphabet label for prize streams, and ln|det| for matrices.
-    Every built-in utility is ``coeffs . phi(x)``.
+    Every built-in utility is ``coeffs . phi(x)``.  This is the one row
+    of ``feature_rows``.
     """
-    kind = x.space.kind
-    if kind == SCALAR:
-        return (x.value,)
-    if kind == VECTOR:
-        return x.value
-    if kind == MEAN_STDDEV:
-        m, s = x.value
-        return (m, s * s)
+    return tuple(feature_rows(x.space, (x,))[0].tolist())
+
+
+def feature_rows(space: Space, outcomes: Sequence[Outcome]) -> np.ndarray:
+    """``features`` of each outcome of a space as one (len, k) float
+    array, for one or more outcomes.
+
+    Scalars, vectors, mean-stddev pairs and prize counts are read into
+    one array, matrices take one stacked ``slogdet``, and lotteries
+    their cumulants from one padded pass (``_cumulant_rows``).
+    """
+    kind = space.kind
     if kind == DISTRIBUTION:
-        return cumulants(x, x.space.moment_order)
+        return _cumulant_rows(*_padded([x.value for x in outcomes]), space.moment_order)
     if kind == PRIZE_STREAM:
-        return tuple(float(x.value.count(p)) for p in x.space.alphabet)
-    _, logdet = np.linalg.slogdet(np.array(x.value))
-    return (float(logdet),)
+        rows = [[x.value.count(p) for p in space.alphabet] for x in outcomes]
+    elif kind == MATRIX:
+        _, logdets = np.linalg.slogdet(np.array([x.value for x in outcomes]))
+        return logdets[:, None]
+    else:
+        rows = [x.value for x in outcomes]
+    phi = np.array(rows, dtype=float).reshape(len(outcomes), -1)
+    if kind == MEAN_STDDEV:
+        phi[:, 1] *= phi[:, 1]
+    return phi
 
 
 def evaluate(u: Utility, x: Outcome) -> float:
@@ -528,29 +584,55 @@ def basis_probes(space: Space) -> list[Outcome]:
 
 
 def cumulants(x: Outcome, n: int) -> tuple[float, ...]:
-    """First n cumulants of a finite-support distribution.
-
-    Raw moments are exact sums over the support; cumulants follow from
-    the moment-to-cumulant recursion
-    kappa_n = m_n - sum_{k<n} C(n-1, k-1) kappa_k m_{n-k},
-    which is stable for finite support (no numerical differentiation
-    of the log characteristic function).  kappa_1 is the mean and
-    kappa_2 the variance.
-    """
+    """First n cumulants of a finite-support distribution: the one row
+    of ``_cumulant_rows``.  kappa_1 is the mean and kappa_2 the
+    variance."""
     if x.space.kind != DISTRIBUTION:
         raise ValueError("cumulants are defined for distribution outcomes")
     if n < 0:
         raise ValueError("cumulant order must be nonnegative")
-    moments = [
-        math.fsum(w * p**k for p, w in x.value) for k in range(n + 1)
-    ]
-    kappas: list[float] = []
+    return tuple(_cumulant_rows(*_padded((x.value,)), n)[0].tolist())
+
+
+# a power past the float range gives inf or NaN, as a product's summed
+# rows do
+@np.errstate(over="ignore", invalid="ignore")
+def _cumulant_rows(rows: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """The first n cumulants of each padded lottery row (``_padded``),
+    as one (rows, n) array.
+
+    Raw moments m_j are the sums of w * p**j over each row's support,
+    taken support column by support column in one array pass with a
+    compensated (Neumaier) sum, which rounds like ``math.fsum`` except
+    under heavy cancellation.  Cumulants follow from the
+    moment-to-cumulant recursion
+    kappa_j = m_j - sum_{k<j} C(j-1, k-1) kappa_k m_{j-k},
+    which is stable for finite support (no numerical differentiation of
+    the log characteristic function).
+    """
+    real = np.arange(rows.shape[1]) < sizes[:, None]
+    points = np.where(real, rows[..., 0], 0.0).T
+    weights = np.where(real, rows[..., 1], 0.0).T
+    # terms[i, j - 1] is w * p**j of each row's i-th support point; a
+    # scalar exponent lets p**2 be the exact square
+    terms = np.empty((len(points), n, len(rows)))
+    for j in range(1, n + 1):
+        terms[:, j - 1] = weights * points**j
+    moments, error = terms[0].copy(), np.zeros(terms.shape[1:])
+    for term in terms[1:]:
+        total = moments + term
+        big = np.abs(moments) >= np.abs(term)
+        error += np.where(big, (moments - total) + term, (term - total) + moments)
+        moments = total
+    moments += error
+    # moments[j - 1] is m_j
+    kappas = np.empty((len(rows), n))
     for order in range(1, n + 1):
-        acc = moments[order]
+        acc = moments[order - 1].copy()
         for k in range(1, order):
-            acc -= math.comb(order - 1, k - 1) * kappas[k - 1] * moments[order - k]
-        kappas.append(acc)
-    return tuple(kappas)
+            acc -= math.comb(order - 1, k - 1) * kappas[:, k - 1] * moments[order - k - 1]
+        kappas[:, order - 1] = acc
+    return kappas
 
 
 def _flat(x: Outcome) -> tuple[float, ...]:
@@ -668,3 +750,32 @@ def canonical_value(x: Outcome) -> str:
     if kind == PRIZE_STREAM:
         return "|".join(x.value)
     return ";".join(",".join(f"{t:.12g}" for t in row) for row in x.value)
+
+
+class _NumberTexts(dict):
+    """Each number's canonical text, at 12 significant digits, formatted
+    once per distinct value.  -0.0 and 0.0 are one key but print as "-0"
+    and "0", so zero is formatted every time."""
+
+    def __missing__(self, v: float) -> str:
+        text = f"{v:.12g}"
+        if v:
+            self[v] = text
+        return text
+
+
+def _canonical_text(x: Outcome, texts: _NumberTexts) -> str:
+    """``canonical_value(x)``, with each number's text read from texts,
+    which a caller shares across many outcomes."""
+    kind = x.space.kind
+    if kind == SCALAR:
+        return texts[x.value]
+    if kind == VECTOR:
+        return ",".join([texts[t] for t in x.value])
+    if kind == MEAN_STDDEV:
+        return f"{texts[x.value[0]]};{texts[x.value[1]]}"
+    if kind == DISTRIBUTION:
+        return "|".join([f"{texts[p]}:{texts[w]}" for p, w in x.value])
+    if kind == PRIZE_STREAM:
+        return "|".join(x.value)
+    return ";".join(",".join([texts[t] for t in row]) for row in x.value)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -170,6 +171,82 @@ class TestCorpusGeneration:
             stream_menus = generate_corpus(streams)
         assert {len(o.value) for m in lotteries for _, o in m.entries} == {2}
         assert {len(o.value) for m in stream_menus for _, o in m.entries} == {2}
+
+    # sha256 of the JSON text of seeded corpora, as the generator that
+    # built and checked one Outcome per draw wrote them
+    PINNED = {
+        "scalar": (
+            {"space": {"kind": "real_scalar"}, "menu_count": 40, "seed": 7},
+            "85e40e91d279f2360e3c0ce8141b13c4efa84949807695a05c9675858aeedbbc",
+        ),
+        "scalar_integer": (
+            {"space": {"kind": "real_scalar"}, "menu_count": 40, "seed": 8,
+             "outcome_sampler": {"integer": True, "low": -2.5, "high": 3, "duplicate_prob": 1}},
+            "4df2823562926a3220dc590fdbe0de46eb951cdbac80877d6bf10cc54c67856a",
+        ),
+        "vector": (
+            {"space": {"kind": "real_vector", "d": 3}, "menu_count": 30, "seed": 9},
+            "42addb1239fb54aea5bb806bf2ca2d650814656d6a2e36091c46fd5a24a16b5b",
+        ),
+        "mean_stddev": (
+            {"space": {"kind": "mean_stddev"}, "menu_count": 30, "seed": 10,
+             "outcome_sampler": {"sigma_low": 0.5, "sigma_high": 1.5}},
+            "1c592c69fd1a7e1be6a9989a37c8480a707bd5198b07945b909192254f774a1a",
+        ),
+        "lottery": (
+            {"space": {"kind": "discrete_distribution", "moment_order": 3}, "menu_count": 60,
+             "actions_per_menu": [1, 6], "seed": 11,
+             "outcome_sampler": {"support_size": [1, 5], "duplicate_prob": 1}},
+            "4c01da45c79c83332471896aa2ebc1f44b854e3c9b2c00aae194c0c2f3da60cd",
+        ),
+        "streams": (
+            {"space": {"kind": "prize_stream", "alphabet": ["g", "s", "h"]}, "menu_count": 30,
+             "seed": 12},
+            "1137e37357ccca9905bb07fac9b1c8de62a4c95deca7e602fce36fb78196268f",
+        ),
+        "matrix": (
+            {"space": {"kind": "matrix", "d": 2}, "menu_count": 30, "seed": 13},
+            "332487079e1489c345a2fa50de81730232ab9ab225dec8e6388a6c742a407556",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_corpus_is_pinned(self, name):
+        spec, digest = self.PINNED[name]
+        text = json.dumps([m.to_json() for m in generate_corpus(CorpusSpec.from_json(spec))])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [1, 3]])
+    def test_first_failure_in_draw_order_is_raised(self, sizes):
+        # every point drawn on [-1e308, 1e308] is inf or NaN, so a lottery
+        # of one point fails Outcome, and one of two or more points finds
+        # no distinct second point; whichever comes first is raised
+        finite_first = set(range(1, 21)) if sizes == [1, 1] else {2, 7, 15, 18}
+        for seed in range(1, 21):
+            spec = {"space": {"kind": "discrete_distribution", "moment_order": 2},
+                    "menu_count": 5, "seed": seed,
+                    "outcome_sampler": {"low": -1e308, "high": 1e308, "support_size": sizes}}
+            if seed in finite_first:
+                error, message = ValueError, "outcome components must be finite"
+            else:
+                error, message = RuntimeError, "sampler range too narrow for distinct support"
+            with pytest.raises(error, match=f"^{message}$"):
+                generate_corpus(CorpusSpec.from_json(spec))
+
+    def test_lottery_corpus_is_checked_and_featurized_in_arrays(self, monkeypatch):
+        calls = Counter()
+        post_init = stochoice.Outcome.__post_init__
+        features = stochoice.spaces.features
+
+        def counted(name, fn):
+            return lambda *args: (calls.update([name]), fn(*args))[1]
+
+        monkeypatch.setattr(stochoice.Outcome, "__post_init__", counted("Outcome", post_init))
+        monkeypatch.setattr(stochoice.spaces, "features", counted("features", features))
+        spec = CorpusSpec(Space.distribution(3), 1500, 2, 6, sampler={"low": -1, "high": 1}, seed=5)
+        menus = generate_corpus(spec)
+        assert sum(m.phi.shape[0] for m in menus) == sum(map(len, menus))
+        assert calls == {}
 
     def test_pair_sampling_deterministic(self):
         menus = generate_corpus(CorpusSpec(Space.scalar(), 10, seed=1))
@@ -885,6 +962,15 @@ class TestExitCodes:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: utility {'beta': 1e+308} is not finite")
         assert "RuntimeWarning" not in done.stderr and "reconstruction" not in done.stderr
+
+    def test_overflowing_general_utility_is_named(self, inputs, tmp_path):
+        # in a child process, so that numpy's warnings would reach stderr
+        utility = {"space": {"kind": "real_scalar"}, "beta": 1e308}
+        rule = write(tmp_path / "general_huge.json", {"type": "general_mnl", "utility": utility})
+        done = run_capped(["check", "--rule", rule, "--menus", inputs["ten"]])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: utility {'beta': 1e+308} is not finite")
+        assert "RuntimeWarning" not in done.stderr and "NaN" not in done.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -433,11 +433,11 @@ class TestCertify:
         with pytest.raises(ValueError, match="non-positive"):
             certify_closeness(MNL(math.inf), [UNIT], Utility.scalar_beta(1.0))
 
-    def test_nan_residual_fails_the_reconstruction_check(self):
-        # the utilities 1.5e308 and 1.6e308 are finite, but the midpoint
-        # of their residuals overflows, so the shocks hold inf and the
-        # rebuilt probabilities NaN; NaN > tol is false, so the check
-        # must reject whatever is not within tol
+    def test_huge_residuals_fail_the_reconstruction_check(self):
+        # the utilities 1.5e308 and 1.6e308 are finite, and so are their
+        # residuals and the midpoint r[top] / 2 + r[bottom] / 2, but at
+        # that magnitude u + s keeps no digit of ln p, so the rebuilt
+        # probabilities miss p and the check must reject them
         menu = scalar_menu({"a": 1.5, "b": 1.6})
         with pytest.raises(RuntimeError, match="reconstruction"):
             certify_closeness(MNL(1.0), [menu], Utility.scalar_beta(1e308))

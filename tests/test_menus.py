@@ -379,6 +379,32 @@ def test_menu_hash_is_kept_on_the_menu(monkeypatch):
     assert sizes == [4096, 4096]
 
 
+SIGNED_ZERO_PAYLOADS = {
+    "real_scalar": (Space.scalar(), [0.0, -0.0, 1.5, -1.5, 0.1]),
+    "mean_stddev": (Space.mean_stddev(), [(-0.0, 1.0), (0.0, 1.0), (2.5, 0.0), (-2.5, 0.5)]),
+    "discrete_distribution": (
+        Space.distribution(2),
+        [((-0.0, 0.5), (1.0, 0.5)), ((0.0, 0.25), (2.0, 0.75)), ((1.0, 1.0),)],
+    ),
+    "matrix": (Space.matrix(2), [((1.0, -0.0), (0.0, 1.0)), ((2.0, 0.0), (-0.0, 0.5))]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGNED_ZERO_PAYLOADS))
+def test_shared_number_texts_keep_the_digest(kind, monkeypatch):
+    # a big menu formats each distinct number once, a small one every
+    # number; -0.0 and 0.0 share a dict key but print as "-0" and "0"
+    import stochoice.menus
+
+    space, payloads = SIGNED_ZERO_PAYLOADS[kind]
+    entries = [(f"a{i}", Outcome(space, payloads[i % len(payloads)])) for i in range(200)]
+    assert len(entries) >= stochoice.menus._SHARED_TEXTS_MIN
+    shared = canonical_key(Menu(space, entries)), menu_hash(Menu(space, entries))
+    monkeypatch.setattr(stochoice.menus, "_SHARED_TEXTS_MIN", len(entries) + 1)
+    assert (canonical_key(Menu(space, entries)), menu_hash(Menu(space, entries))) == shared
+    assert "-0" in shared[0]
+
+
 def _exact_digest(menu):
     # menu_hash reads 12 significant digits; this reads every bit
     return hashlib.sha256(repr([o.value for _, o in menu.entries]).encode()).hexdigest()

@@ -235,6 +235,22 @@ def test_basis_probes_span_the_features(space, _):
         assert np.array_equal(matrix, np.eye(k))
 
 
+EPS = np.finfo(float).eps
+
+
+def _fsum_cumulants(x, n):
+    """The per-outcome oracle: each raw moment one exact ``math.fsum``
+    over the support, then the moment-to-cumulant recursion."""
+    moments = [math.fsum(w * p**k for p, w in x.value) for k in range(n + 1)]
+    kappas = []
+    for order in range(1, n + 1):
+        acc = moments[order]
+        for k in range(1, order):
+            acc -= math.comb(order - 1, k - 1) * kappas[k - 1] * moments[order - k]
+        kappas.append(acc)
+    return kappas
+
+
 class TestCumulants:
     def test_point_mass(self):
         space = Space.distribution(3)
@@ -263,6 +279,33 @@ class TestCumulants:
         mu = [float(ws @ (pts - mean) ** k) for k in range(5)]
         expected = (mean, mu[2], mu[3], mu[4] - 3 * mu[2] ** 2)
         assert cumulants(x, 4) == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8, unique=True),
+        st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+    )
+    @example(8, [-1e3], [1.0] * 8)
+    @example(8, [-1e3, -999.5, 0.0, 0.25, 3.0, 500.0, 999.0, 1e3], [0.3] * 8)
+    def test_rows_against_the_fsum_oracle(self, n, points, weights):
+        # the stated bound: |kappa_j - oracle_j| <= 4 j! eps max(1, |p|)^j
+        space = Space.distribution(n)
+        total = sum(weights[: len(points)])
+        try:
+            x = Outcome(space, tuple((p, w / total) for p, w in zip(points, weights)))
+        except ValueError:  # colliding points
+            reject()
+        row = spaces.feature_rows(space, [x])[0]
+        scale = max(1.0, *(abs(p) for p in points))
+        bound = [4 * math.factorial(j) * EPS * scale**j for j in range(1, n + 1)]
+        assert np.all(np.abs(row - _fsum_cumulants(x, n)) <= bound)
+        assert features(x) == cumulants(x, n) == tuple(row.tolist())
+
+    @given(st.lists(distribution_outcomes(4), min_size=1, max_size=12))
+    def test_rows_of_many_lotteries_are_their_one_row_views(self, xs):
+        rows = spaces.feature_rows(Space.distribution(4), xs)
+        assert rows.shape == (len(xs), 4)
+        assert [tuple(r) for r in rows.tolist()] == [cumulants(x, 4) for x in xs]
 
     @given(distribution_outcomes(4), distribution_outcomes(4))
     def test_additive_under_convolution(self, x, y):
