@@ -32,7 +32,6 @@ from .menus import (
     Menu,
     action_from_str,
     action_str,
-    canonical_key,
     diagonal_action,
     equivalent,
     menu_hash,
@@ -52,7 +51,6 @@ from .rules import (
     Perturbed,
     QuadratureError,
     Rule,
-    Tabular,
     Uniform,
     probit,
     rule_from_json,
@@ -62,7 +60,6 @@ from .axioms import (
     AxiomReport,
     continuity_probe,
     cross_menu_identity_epsilon,
-    cross_menu_identity_gap,
     decomposability_epsilon,
     effective_neutrality_epsilon,
     merge_reports,
@@ -80,7 +77,6 @@ from .extract import (
     UlamBounds,
     UpsilonEstimate,
     certify_closeness,
-    extract_beta,
     extract_utility,
     fit_beta_min_delta,
     fit_utility_representation,

@@ -25,7 +25,6 @@ from .menus import (
     power,
     product,
     scalar_menu,
-    unit_binary_menu,
 )
 from .rules import Rule
 from .spaces import (
@@ -275,63 +274,26 @@ def strong_neutrality_epsilon(
     return _report(STRONG_NEUTRALITY, limit, eps, worst)
 
 
-def cross_menu_identity_gap(
-    rule: Rule, menu: Menu, a: ActionId, a2: ActionId
-) -> float:
-    """Deviation from the identity p(a) * p0^n = p(a2) * p1^n with
-    n = o(a) - o(a2), where (p0, p1) is the rule's distribution on the
-    unit binary menu {b0: 0, b1: 1}.
-
-    Outcomes must be integers and o(a) > o(a2).  The deviation is the
-    absolute log ratio of the two products: for large n the raw products
-    underflow to magnitudes where an absolute gap is vacuous.  Returns 0
-    when both products vanish, +inf when exactly one does.
-    """
-    if menu.space.kind != SCALAR:
-        raise SpaceMismatchError()
-    oa = menu.outcome_of(a).value
-    oa2 = menu.outcome_of(a2).value
-    for v in (oa, oa2):
-        if abs(v - round(v)) > 1e-9:
-            raise ValueError("cross-menu identity requires integer outcomes")
-    n = round(oa) - round(oa2)
-    if n <= 0:
-        raise ValueError("requires o(a) > o(a2)")
-    return _identity_gap(rule, menu, a, a2, n, unit_binary_menu())
-
-
-def _identity_gap(
-    rule: Rule, menu: Menu, a: ActionId, a2: ActionId, n: int, probe: Menu
-) -> float:
-    """|ln p(a) + n ln p0 - ln p(a2) - n ln p1| with (p0, p1) the rule's
-    distribution on the binary probe menu {b0, b1}."""
-    binary = rule.choose(probe)
-    p0, p1 = binary["b0"], binary["b1"]
-    dist = rule.choose(menu)
-    pa, pa2 = dist[a], dist[a2]
-    lhs_zero = pa == 0.0 or p0 == 0.0
-    rhs_zero = pa2 == 0.0 or p1 == 0.0
-    if lhs_zero or rhs_zero:
-        return 0.0 if (lhs_zero and rhs_zero) else math.inf
-    gap = (math.log(pa) + n * math.log(p0)) - (math.log(pa2) + n * math.log(p1))
-    return abs(gap)
-
-
 def cross_menu_identity_epsilon(
     rule: Rule,
     menu: Menu,
     tol: float = DEFAULT_TOL,
     menu_id: str | None = None,
 ) -> AxiomReport:
-    """The cross-menu identity gap between the menu's highest- and
-    lowest-outcome actions.
+    """The cross-menu identity gap between the menu's highest-outcome
+    action a and its lowest-outcome action a2.
+
+    The identity is p(a) * p0^n = p(a2) * p1^n, where (p0, p1) is the
+    rule's distribution on a binary probe {b0: 0, b1: 1/k} and n counts
+    probe steps from o(a2) to o(a).  The gap is the absolute log ratio of
+    the two products, which underflow for large n: 0 when both vanish,
+    +inf when exactly one does.
 
     Each outcome must be rational: the float of its nearest fraction
-    with denominator at most 10^6 must be the outcome itself.  With k
-    the lcm of those denominators, the identity is checked on the menu
-    as given against the probe {b0: 0, b1: 1/k}, with the integer
-    n = k * (o(a) - o(a2)).  The witness records k.  A constant menu has
-    no such pair and checks no instance.
+    with denominator at most 10^6 must be the outcome itself.  k is the
+    lcm of those denominators, so n = k * (o(a) - o(a2)) is an integer.
+    The witness records k.  A constant menu has no such pair and checks
+    no instance.
     """
     if menu.space.kind != SCALAR:
         raise ValueError("identity check requires scalar menus")
@@ -349,8 +311,16 @@ def cross_menu_identity_epsilon(
         if k > 10**9:
             raise ValueError("outcome denominators too heterogeneous to clear")
     n = int((fractions[best[0]] - fractions[worst[0]]) * k)
-    probe = scalar_menu({"b0": 0.0, "b1": 1.0 / k})
-    gap = _identity_gap(rule, menu, best[0], worst[0], n, probe)
+    binary = rule.choose(scalar_menu({"b0": 0.0, "b1": 1.0 / k}))
+    p0, p1 = binary["b0"], binary["b1"]
+    dist = rule.choose(menu)
+    pa, pa2 = dist[best[0]], dist[worst[0]]
+    lhs_zero = pa == 0.0 or p0 == 0.0
+    rhs_zero = pa2 == 0.0 or p1 == 0.0
+    if lhs_zero or rhs_zero:
+        gap = 0.0 if (lhs_zero and rhs_zero) else math.inf
+    else:
+        gap = abs((math.log(pa) + n * math.log(p0)) - (math.log(pa2) + n * math.log(p1)))
     witness = {
         "menu_id": menu_id,
         "pair": [action_str(best[0]), action_str(worst[0])],

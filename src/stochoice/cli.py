@@ -343,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     pilot.set_defaults(func=cmd_check)
 
     pfit = sub.add_parser("fit", help="fit a utility representation")
-    pfit.add_argument("--rule", required=True)
+    add_inputs(pfit, menus=False)
     pfit.add_argument("--space", required=True, help="space JSON (inline or file)")
-    pfit.add_argument("--json", action="store_true")
     pfit.set_defaults(func=cmd_fit)
 
     pcert = sub.add_parser("certify", help="certify closeness to a logit")

@@ -1,7 +1,8 @@
-"""Constructive procedures over choice rules: parameter and utility
-extraction from binary probes, utility-representation fitting per
-outcome space, the nth-root limit rule, delta-closeness certificates
-against a logit, and the stability bound calculator.
+"""Constructive procedures over choice rules: utility extraction from
+binary probes, utility-representation fitting per outcome space (on the
+scalar space its one coefficient is the logit beta), the nth-root limit
+rule, delta-closeness certificates against a logit, and the stability
+bound calculator.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .axioms import effective_neutrality_epsilon, power_diagonal_log
-from .menus import Menu, unit_binary_menu
+from .menus import Menu
 from .rules import ChoiceDistribution, Rule
 from .spaces import (
     Outcome,
@@ -34,26 +35,18 @@ class NotPositiveError(ValueError):
         super().__init__("rule not positive at probe")
 
 
-def extract_beta(rule: Rule) -> float:
-    """ln(p1/p0) from the rule's distribution on the unit binary menu
-    {b0: 0, b1: 1}; +inf when p0 = 0 and -inf when p1 = 0."""
-    dist = rule.choose(unit_binary_menu())
-    p0, p1 = dist["b0"], dist["b1"]
-    if p0 == 0.0:
-        return math.inf
-    if p1 == 0.0:
-        return -math.inf
-    return math.log(p1 / p0)
-
-
 def extract_utility(rule: Rule, x: Outcome) -> float:
     """The canonical utility of x: the log odds of the x-outcome action
-    against the identity outcome in a binary probe menu."""
+    against the identity outcome in a binary probe menu.
+
+    The odds are the ratio of the two probabilities, not p / (1 - p),
+    in which 1 - p cancels once p nears 1."""
     probe = Menu(x.space, (("a_e", identity(x.space)), ("a_x", x)))
-    p = rule.choose(probe)["a_x"]
-    if p <= 0.0 or p >= 1.0:
+    dist = rule.choose(probe)
+    p_e, p_x = dist["a_e"], dist["a_x"]
+    if p_e == 0.0 or p_x == 0.0:
         raise NotPositiveError()
-    return math.log(p / (1.0 - p))
+    return math.log(p_x / p_e)
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,9 @@ def certify_closeness(
     r(a) = ln p(a) - u(o(a)) are centered at the midpoint of their range
     (which minimizes the sup norm), giving shocks s(a) and a per-menu
     delta of half the residual spread.  The corpus delta is the maximum.
-    The reconstruction invariant is re-verified before returning.
+    The reconstruction invariant is re-verified before returning.  A
+    feature that overflows, such as a cumulant of a lottery with huge
+    support, raises ValueError naming its menu.
     """
     if menu_ids is None:
         menu_ids = [f"menu_{i:04d}" for i in range(len(corpus))]
@@ -227,6 +222,9 @@ def certify_closeness(
         raise ValueError("empty corpus")
     space = corpus[0].space if u is None else u.space
     probs, phi, menu_of = _corpus_arrays(rule, corpus, space)
+    bad = np.flatnonzero(~np.isfinite(phi).all(axis=1))
+    if bad.size:
+        raise ValueError(f"outcome features are not finite on menu {menu_ids[menu_of[bad[0]]]}")
     log_p = np.log(probs)
     if u is None:
         u = Utility(space, _min_delta_coeffs(phi, log_p, menu_of))

@@ -24,13 +24,13 @@ from .spaces import (
     _canonical_text,
     _compose_all,
     _NumberTexts,
+    _number_text,
     _trusted_outcome,
     equal_outcome_blocks,
     feature_rows,
     outcome_from_json,
     outcome_to_json,
     outcomes_equal,
-    canonical_value,
 )
 
 # an action id is an atomic label or an ordered pair of action ids
@@ -241,12 +241,6 @@ class Menu:
         m1, m2 = self._factors
         return m1.index(a[0]) * len(m2) + m2.index(a[1])
 
-    def outcome_of(self, a: ActionId) -> Outcome:
-        try:
-            return self.outcomes[self.index(a)]
-        except KeyError:
-            raise KeyError(action_str(a)) from None
-
     def to_json(self) -> dict:
         return {
             "space": self.space.to_json(),
@@ -393,7 +387,9 @@ def equivalent(m1: Menu, m2: Menu, tol: float | None = None) -> dict | None:
 
 
 def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
-    """Header and sorted body of the canonical encoding.
+    """Header and sorted body of the canonical encoding that
+    ``menu_hash`` digests: insensitive to entry order, with outcomes at
+    12 significant digits.
 
     A menu of at least _SHARED_TEXTS_MIN actions formats each distinct
     number once: the outcomes of a power or product menu repeat a few
@@ -401,23 +397,10 @@ def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
     cheaper where numbers rarely repeat."""
     space = menu.space
     head = f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}#"
-    pairs = zip(menu.ids, menu.values.tolist() if space.kind == SCALAR else menu.outcomes)
-    if len(menu) < _SHARED_TEXTS_MIN:
-        if space.kind == SCALAR:
-            # canonical_value's scalar format, read from the array
-            return head, sorted([f"{s}={v:.12g}" for s, v in pairs])
-        return head, sorted([f"{s}={canonical_value(o)}" for s, o in pairs])
-    texts = _NumberTexts()
+    num = _number_text if len(menu) < _SHARED_TEXTS_MIN else _NumberTexts().__getitem__
     if space.kind == SCALAR:
-        return head, sorted([f"{s}={texts[v]}" for s, v in pairs])
-    return head, sorted([f"{s}={_canonical_text(o, texts)}" for s, o in pairs])
-
-
-def canonical_key(menu: Menu) -> str:
-    """Order-insensitive canonical encoding (outcomes at 12 significant
-    digits), used for tabular lookup and deterministic shock seeds."""
-    head, body = _canonical_parts(menu)
-    return head + ";".join(body)
+        return head, sorted([f"{s}={num(v)}" for s, v in zip(menu.ids, menu.values.tolist())])
+    return head, sorted([f"{s}={_canonical_text(o, num)}" for s, o in zip(menu.ids, menu.outcomes)])
 
 
 def menu_hash(menu: Menu) -> int:

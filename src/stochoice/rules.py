@@ -3,21 +3,20 @@
 The multinomial logit family (finite beta plus the argmax/argmin
 limits), logit over a general additive utility, independent additive
 random utility (IARU) rules evaluated by quadrature, the uniform rule,
-and two testing harnesses: tabular rules and deterministically
-perturbed rules.
+and deterministically perturbed rules, the approximately decomposable
+test subjects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .menus import ActionId, Menu, action_str, canonical_key, menu_hash
+from .menus import ActionId, Menu, action_str, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
 from .spaces import SpaceMismatchError, Utility, json_int, sort_and_cut
 
@@ -390,34 +389,6 @@ def _log_integral(shock: ShockSpec, shifts: np.ndarray, log_mult: np.ndarray) ->
 
 def probit(sigma: float = 1.0) -> IARU:
     return IARU(GaussianShock(sigma))
-
-
-@dataclass(frozen=True)
-class Tabular(Rule):
-    """Testing harness: explicit distributions for registered menus,
-    delegation to a fallback rule elsewhere.
-
-    Lookup is by canonical menu key (entry-order insensitive, outcomes
-    rounded to 12 significant digits)."""
-
-    table: Mapping[str, Mapping[str, float]]
-    fallback: Rule = field(default_factory=Uniform)
-
-    @staticmethod
-    def from_entries(entries, fallback: Rule | None = None) -> "Tabular":
-        table = {}
-        for menu, probs in entries:
-            named = {action_str(a): float(p) for a, p in probs.items()}
-            if set(named) != set(menu.ids):
-                raise ValueError("tabular distribution must cover the menu's actions")
-            table[canonical_key(menu)] = named
-        return Tabular(table, fallback if fallback is not None else Uniform())
-
-    def choose(self, menu: Menu) -> ChoiceDistribution:
-        row = self.table.get(canonical_key(menu))
-        if row is None:
-            return self.fallback.choose(menu)
-        return ChoiceDistribution(menu, [row[s] for s in menu.ids])
 
 
 _M64 = (1 << 64) - 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -548,9 +548,8 @@ def basis_probes(space: Space) -> list[Outcome]:
     The unit basis of the features wherever single outcomes realize it;
     finite-support lotteries for cumulants; diag(e, 1, ..., 1), whose
     log|det| is exactly 1, for matrices.  Distribution probes keep their
-    support within [-1, 2] so probe utilities stay moderate: the
-    log-odds inversion loses precision once a probe probability
-    approaches 1.
+    support within [-1, 2] so probe utilities stay moderate: the log
+    odds are lost once the identity's probe probability underflows.
     """
     kind = space.kind
     if kind == SCALAR:
@@ -736,46 +735,35 @@ def outcome_from_json(space: Space, data) -> Outcome:
     return Outcome(space, data)
 
 
-def canonical_value(x: Outcome) -> str:
-    """Compact encoding with floats at 12 significant digits, for hashing."""
-    kind = x.space.kind
-    if kind == SCALAR:
-        return f"{x.value:.12g}"
-    if kind == VECTOR:
-        return ",".join(f"{t:.12g}" for t in x.value)
-    if kind == MEAN_STDDEV:
-        return f"{x.value[0]:.12g};{x.value[1]:.12g}"
-    if kind == DISTRIBUTION:
-        return "|".join(f"{p:.12g}:{w:.12g}" for p, w in x.value)
-    if kind == PRIZE_STREAM:
-        return "|".join(x.value)
-    return ";".join(",".join(f"{t:.12g}" for t in row) for row in x.value)
+# a number's canonical text: 12 significant digits
+_number_text = "{:.12g}".format
 
 
 class _NumberTexts(dict):
-    """Each number's canonical text, at 12 significant digits, formatted
-    once per distinct value.  -0.0 and 0.0 are one key but print as "-0"
-    and "0", so zero is formatted every time."""
+    """Each number's canonical text, formatted once per distinct value.
+    -0.0 and 0.0 are one key but print as "-0" and "0", so zero is
+    formatted every time."""
 
     def __missing__(self, v: float) -> str:
-        text = f"{v:.12g}"
+        text = _number_text(v)
         if v:
             self[v] = text
         return text
 
 
-def _canonical_text(x: Outcome, texts: _NumberTexts) -> str:
-    """``canonical_value(x)``, with each number's text read from texts,
-    which a caller shares across many outcomes."""
+def _canonical_text(x: Outcome, num: Callable[[float], str]) -> str:
+    """Compact encoding of an outcome, for hashing, with num(v) the text
+    of each number v: ``_number_text``, or a ``_NumberTexts`` lookup
+    that a caller shares across many outcomes."""
     kind = x.space.kind
     if kind == SCALAR:
-        return texts[x.value]
+        return num(x.value)
     if kind == VECTOR:
-        return ",".join([texts[t] for t in x.value])
+        return ",".join([num(t) for t in x.value])
     if kind == MEAN_STDDEV:
-        return f"{texts[x.value[0]]};{texts[x.value[1]]}"
+        return f"{num(x.value[0])};{num(x.value[1])}"
     if kind == DISTRIBUTION:
-        return "|".join([f"{texts[p]}:{texts[w]}" for p, w in x.value])
+        return "|".join([f"{num(p)}:{num(w)}" for p, w in x.value])
     if kind == PRIZE_STREAM:
         return "|".join(x.value)
-    return ";".join(",".join([texts[t] for t in row]) for row in x.value)
+    return ";".join(",".join([num(t) for t in row]) for row in x.value)

@@ -1,9 +1,25 @@
+from dataclasses import dataclass, field
+from typing import Mapping
+
 import hypothesis
 from hypothesis import strategies as st
 
 import numpy as np
 
-from stochoice import IARU, MNL, GumbelShock, Menu, Outcome, Space, Utility
+from stochoice import (
+    IARU,
+    MNL,
+    ChoiceDistribution,
+    GumbelShock,
+    Menu,
+    Outcome,
+    Rule,
+    Space,
+    Uniform,
+    Utility,
+    action_str,
+)
+from stochoice.menus import _canonical_parts
 
 hypothesis.settings.register_profile(
     "ci", max_examples=60, derandomize=True, deadline=None
@@ -113,3 +129,38 @@ def grid_lottery_menu():
     return Menu(space, tuple(
         (f"l{i}", Outcome(space, tuple(zip((0.0, 0.5, 1.0), w)))) for i, w in enumerate(weights)
     ))
+
+
+def canonical_key(menu: Menu) -> str:
+    """The canonical encoding that ``menu_hash`` digests, as one string:
+    insensitive to entry order, with outcomes at 12 significant digits."""
+    head, body = _canonical_parts(menu)
+    return head + ";".join(body)
+
+
+@dataclass(frozen=True)
+class Tabular(Rule):
+    """Explicit distributions for registered menus, delegation to a
+    fallback rule elsewhere.
+
+    Lookup is by ``canonical_key`` (entry-order insensitive, outcomes
+    rounded to 12 significant digits)."""
+
+    table: Mapping[str, Mapping[str, float]]
+    fallback: Rule = field(default_factory=Uniform)
+
+    @staticmethod
+    def from_entries(entries, fallback: Rule | None = None) -> "Tabular":
+        table = {}
+        for menu, probs in entries:
+            named = {action_str(a): float(p) for a, p in probs.items()}
+            if set(named) != set(menu.ids):
+                raise ValueError("tabular distribution must cover the menu's actions")
+            table[canonical_key(menu)] = named
+        return Tabular(table, fallback if fallback is not None else Uniform())
+
+    def choose(self, menu: Menu) -> ChoiceDistribution:
+        row = self.table.get(canonical_key(menu))
+        if row is None:
+            return self.fallback.choose(menu)
+        return ChoiceDistribution(menu, [row[s] for s in menu.ids])

@@ -15,13 +15,11 @@ from stochoice import (
     Outcome,
     Perturbed,
     Space,
-    Tabular,
     Utility,
     certify_closeness,
     compose,
     cumulants,
     diagonal_action,
-    extract_beta,
     fit_beta_min_delta,
     fit_utility_representation,
     generate_corpus,
@@ -36,7 +34,7 @@ from stochoice import (
 )
 from stochoice.axioms import (
     continuity_probe,
-    cross_menu_identity_gap,
+    cross_menu_identity_epsilon,
     decomposability_epsilon,
     neutrality_epsilon,
     positivity_check,
@@ -44,7 +42,7 @@ from stochoice.axioms import (
 )
 from stochoice.cli import main
 
-from conftest import iaru_equals_mnl_probe
+from conftest import Tabular, iaru_equals_mnl_probe
 
 UNIT = unit_binary_menu()
 
@@ -124,8 +122,8 @@ def test_criterion_03_gumbel_mnl_equivalence(capsys):
 
 def test_criterion_04_cross_menu_identity(capsys):
     worked = scalar_menu({"a1": -17.0, "a2": -17.0, "a3": 42.0})
-    mnl_holds = cross_menu_identity_gap(MNL(1.0), worked, "a3", "a2") <= 1e-9
-    gap = cross_menu_identity_gap(probit(), scalar_menu({"a": 0.0, "b": 2.0}), "b", "a")
+    mnl_holds = cross_menu_identity_epsilon(MNL(1.0), worked).min_epsilon <= 1e-9
+    gap = cross_menu_identity_epsilon(probit(), scalar_menu({"a": 0.0, "b": 2.0})).min_epsilon
     ok = mnl_holds and gap > 1e-3
     with capsys.disabled():
         assert report(4, f"cross-menu identity (probit gap={gap:.3f})", ok)
@@ -133,7 +131,7 @@ def test_criterion_04_cross_menu_identity(capsys):
 
 def test_criterion_05_extraction_round_trips(capsys):
     betas_ok = all(
-        abs(extract_beta(MNL(b)) - b) <= 1e-10
+        abs(fit_utility_representation(MNL(b), Space.scalar()).utility.coeffs[0] - b) <= 1e-10
         for b in (-10.0, -3.0, -1.0, 0.0, 0.5, 2.0, 10.0)
     )
     spaces = [

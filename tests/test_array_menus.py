@@ -31,7 +31,6 @@ from stochoice import (
     Perturbed,
     Space,
     SpaceMismatchError,
-    Tabular,
     Uniform,
     Utility,
     action_str,
@@ -49,7 +48,7 @@ from stochoice import (
     upsilon,
 )
 
-from conftest import grid_lottery_menu
+from conftest import Tabular, grid_lottery_menu
 
 SCALAR = Space.scalar()
 
@@ -155,8 +154,6 @@ class TestProductMenus:
         for a in ("b0", ("b0", "b2"), ("b0", "b1", "b1"), (("b0", "b1"), "b1")):
             with pytest.raises(KeyError):
                 square.index(a)
-        with pytest.raises(KeyError, match=r"\(b0,b2\)"):
-            square.outcome_of(("b0", "b2"))
 
     def test_non_finite_sum_raises(self):
         big = scalar_menu({"a": 1e308, "b": 0.0})

@@ -11,7 +11,6 @@ from stochoice import (
     Perturbed,
     Rule,
     Space,
-    Tabular,
     Uniform,
     Utility,
     effective_neutrality_epsilon,
@@ -23,7 +22,6 @@ from stochoice import (
 from stochoice.axioms import (
     continuity_probe,
     cross_menu_identity_epsilon,
-    cross_menu_identity_gap,
     decomposability_epsilon,
     merge_reports,
     neutrality_epsilon,
@@ -33,6 +31,8 @@ from stochoice.axioms import (
     strong_neutrality_bound,
     strong_neutrality_epsilon,
 )
+
+from conftest import Tabular
 
 UNIT = unit_binary_menu()
 WORKED = scalar_menu({"a1": -17.0, "a2": -17.0, "a3": 42.0})
@@ -232,7 +232,7 @@ class TestStrongNeutrality:
 
 class TestCrossMenuIdentity:
     def test_mnl_worked_menu(self):
-        assert cross_menu_identity_gap(MNL(1.0), WORKED, "a3", "a2") <= 1e-9
+        assert cross_menu_identity_epsilon(MNL(1.0), WORKED).min_epsilon <= 1e-9
 
     def test_binary_menu_pins_down_other_menus(self):
         # reconstruct the 3-action distribution from the unit-binary
@@ -249,13 +249,13 @@ class TestCrossMenuIdentity:
         assert direct["a3"] == pytest.approx(ratio * p_a2, rel=1e-12)
 
     def test_uniform_parameter(self):
-        assert cross_menu_identity_gap(MNL(0.0), WORKED, "a3", "a1") <= 1e-9
+        assert cross_menu_identity_epsilon(MNL(0.0), WORKED).min_epsilon <= 1e-9
 
     def test_probit_fails(self):
         menu = scalar_menu({"a": 0.0, "b": 2.0})
-        gap = cross_menu_identity_gap(probit_rule(), menu, "b", "a")
+        gap = cross_menu_identity_epsilon(probit_rule(), menu).min_epsilon
         assert gap > 1e-3
-        assert not cross_menu_identity_gap(probit_rule(), menu, "b", "a") <= 1e-3
+        assert not cross_menu_identity_epsilon(probit_rule(), menu).min_epsilon <= 1e-3
 
     def test_report_clears_denominators(self):
         menu = scalar_menu({"a": 0.5, "b": 1.25})
@@ -274,15 +274,6 @@ class TestCrossMenuIdentity:
     def test_report_skips_constant_menu(self):
         report = cross_menu_identity_epsilon(MNL(1.0), scalar_menu({"a": 2.0, "b": 2.0}))
         assert report.satisfied_at_tol and report.instances_checked == 0
-
-    def test_requires_integer_outcomes(self):
-        menu = scalar_menu({"a": 0.5, "b": 2.0})
-        with pytest.raises(ValueError):
-            cross_menu_identity_gap(MNL(1.0), menu, "b", "a")
-
-    def test_requires_increasing_pair(self):
-        with pytest.raises(ValueError):
-            cross_menu_identity_gap(MNL(1.0), WORKED, "a2", "a3")
 
 
 class TestPowerDiagonalMechanism:

@@ -794,6 +794,16 @@ class TestExitCodes:
                                                         "probs": [0.5, 0.5]}}],
                 },
             ),
+            "lottery_moments_overflow": write(
+                tmp_path / "lottery_moments_overflow.json",
+                {
+                    "space": lottery_space,
+                    "actions": [
+                        {"id": "a", "outcome": {"support": [0, 1e200], "probs": [0.5, 0.5]}},
+                        {"id": "b", "outcome": {"support": [0], "probs": [1]}},
+                    ],
+                },
+            ),
             "utility_nan": write(
                 tmp_path / "utility_nan.json", {"space": scalar_space, "beta": math.nan}
             ),
@@ -962,6 +972,17 @@ class TestExitCodes:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: utility {'beta': 1e+308} is not finite")
         assert "RuntimeWarning" not in done.stderr and "reconstruction" not in done.stderr
+
+    def test_non_finite_features_are_named(self, inputs):
+        # the second cumulant of a lottery on {0, 1e200} overflows; the
+        # auto fit would pass it to linprog
+        done = run_capped(["certify", "--rule", inputs["uniform"],
+                           "--menus", inputs["lottery_moments_overflow"]])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (
+            "error: outcome features are not finite on menu lottery_moments_overflow.json\n"
+        )
+        assert "linprog" not in done.stderr
 
     def test_overflowing_general_utility_is_named(self, inputs, tmp_path):
         # in a child process, so that numpy's warnings would reach stderr

@@ -154,7 +154,7 @@ def test_equivalent_matches_whenever_a_matching_exists(kind):
             assert list(bijection) == list(m1.actions)
             assert sorted(bijection.values()) == sorted(m2.actions)
             for a, b in bijection.items():
-                assert outcomes_equal(m1.outcome_of(a), m2.outcome_of(b), tol)
+                assert outcomes_equal(m1.outcomes[m1.index(a)], m2.outcomes[m2.index(b)], tol)
 
 
 def test_sort_and_cut_labels_runs_in_ascending_order():

@@ -13,11 +13,9 @@ from stochoice import (
     Outcome,
     Perturbed,
     Space,
-    Tabular,
     Uniform,
     Utility,
     certify_closeness,
-    extract_beta,
     extract_utility,
     features,
     fit_beta_min_delta,
@@ -36,24 +34,36 @@ from stochoice import (
 from stochoice.axioms import decomposability_epsilon
 from stochoice.spaces import SpaceMismatchError
 
+from conftest import Tabular
+
 UNIT = unit_binary_menu()
+
+
+def fitted_beta(rule):
+    return fit_utility_representation(rule, Space.scalar()).utility.coeffs[0]
 
 
 class TestExtractBeta:
     @pytest.mark.parametrize("beta", [-10.0, -3.0, -0.5, 0.0, 0.5, 2.0, 10.0])
     def test_recovers_mnl_parameter(self, beta):
-        assert extract_beta(MNL(beta)) == pytest.approx(beta, abs=1e-12)
+        assert fitted_beta(MNL(beta)) == pytest.approx(beta, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [-40.0, -30.0, -10.0, 10.0, 30.0, 40.0])
+    def test_exact_where_one_minus_p_cancels(self, beta):
+        # p / (1 - p) was off by 1e-3 at beta = 30 and raised at 40
+        assert fitted_beta(MNL(beta)) == beta
 
     def test_uniform_is_zero(self):
-        assert extract_beta(Uniform()) == 0.0
+        assert fitted_beta(Uniform()) == 0.0
 
     def test_argmax_limits(self):
-        assert extract_beta(MNL(math.inf)) == math.inf
-        assert extract_beta(MNL(-math.inf)) == -math.inf
+        for beta in (math.inf, -math.inf):
+            with pytest.raises(NotPositiveError):
+                fitted_beta(MNL(beta))
 
     def test_probit_value(self):
         # ln(0.760.../0.239...) from the quadrature probabilities
-        beta = extract_beta(probit())
+        beta = fitted_beta(probit())
         p = probit().choose(UNIT)["b1"]
         assert beta == pytest.approx(math.log(p / (1 - p)))
 
@@ -417,7 +427,7 @@ class TestCertify:
 
     def test_probit_residual_spread(self):
         corpus = [UNIT, product(UNIT, UNIT)]
-        beta = extract_beta(probit())
+        beta = fitted_beta(probit())
         cert = certify_closeness(probit(), corpus, Utility.scalar_beta(beta))
         assert cert.delta > 0.01
 

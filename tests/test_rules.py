@@ -20,7 +20,6 @@ from stochoice import (
     QuadratureError,
     Space,
     SpaceMismatchError,
-    Tabular,
     Uniform,
     Utility,
     diagonal_action,
@@ -35,7 +34,7 @@ from stochoice import (
 )
 from stochoice.quadrature import adaptive_simpson
 
-from conftest import iaru_equals_mnl_probe
+from conftest import Tabular, iaru_equals_mnl_probe
 
 UNIT = unit_binary_menu()
 SQUARE = product(UNIT, UNIT)
