@@ -200,6 +200,8 @@ def cmd_check(args) -> int:
         ]
     else:
         which = [a.strip() for a in args.axioms.split(",") if a.strip()]
+        if not which:
+            raise InputError("no axioms requested")
     unknown = set(which) - set(CHECKABLE_AXIOMS)
     if unknown:
         raise InputError(f"unknown axioms: {sorted(unknown)}")

@@ -40,13 +40,17 @@ def extract_utility(rule: Rule, x: Outcome) -> float:
     against the identity outcome in a binary probe menu.
 
     The odds are the ratio of the two probabilities, not p / (1 - p),
-    in which 1 - p cancels once p nears 1."""
+    in which 1 - p cancels once p nears 1.  Where the ratio overflows,
+    the log odds are the difference of the two logs."""
     probe = Menu(x.space, (("a_e", identity(x.space)), ("a_x", x)))
     dist = rule.choose(probe)
     p_e, p_x = dist["a_e"], dist["a_x"]
     if p_e == 0.0 or p_x == 0.0:
         raise NotPositiveError()
-    return math.log(p_x / p_e)
+    odds = p_x / p_e
+    if math.isinf(odds):
+        return math.log(p_x) - math.log(p_e)
+    return math.log(odds)
 
 
 @dataclass(frozen=True)

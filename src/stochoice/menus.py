@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Union
 
 import numpy as np
@@ -94,11 +94,6 @@ def _check_atoms(a: ActionId) -> None:
     _check_atoms(right)
 
 
-# what a menu knows beyond its space and factors; a product menu can
-# derive each of them from its factors
-_DERIVED = ("_entries", "_actions", "_outcomes", "_phi", "_ids", "_index", "_hash")
-
-
 class Menu:
     """A finite set of labeled actions with one outcome per action.
 
@@ -107,12 +102,12 @@ class Menu:
 
     ``Menu(space, entries)`` validates its entries.  A product menu
     keeps its two factors instead, and sums their feature rows ``phi``.
-    A scalar product's ``entries``, ``actions`` and ``outcomes`` are
-    built on first use; ``len``, ``index`` and ``menu_hash`` never
-    build them.  Any other product composes its outcomes once.
+    Every derived value is a ``cached_property``, kept in the menu's own
+    dict from first use: a scalar product's ``entries``, ``actions`` and
+    ``outcomes`` are built only when read, and ``len``, ``index`` and
+    ``menu_hash`` never build them.  Any other product composes its
+    outcomes once.
     """
-
-    __slots__ = ("space", "_factors", *_DERIVED)
 
     def __init__(self, space: Space, entries) -> None:
         entries = tuple((a, o) for a, o in entries)
@@ -126,7 +121,7 @@ class Menu:
             seen.add(a)
             if o.space != space:
                 raise SpaceMismatchError()
-        _fill(self, space, None, entries=entries)
+        vars(self).update(space=space, _factors=None, entries=entries)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: Menu is immutable")
@@ -137,10 +132,6 @@ class Menu:
     def __reduce__(self):
         # pickle and copy rebuild a menu from its space and entries
         return Menu, (self.space, self.entries)
-
-    def _cache(self, name: str, value):
-        object.__setattr__(self, name, value)
-        return value
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -155,57 +146,47 @@ class Menu:
 
     def __len__(self) -> int:
         if self._factors is None:
-            return len(self._entries)
+            return len(self.entries)
         m1, m2 = self._factors
         return len(m1) * len(m2)
 
-    @property
+    @cached_property
     def entries(self) -> tuple[tuple[ActionId, Outcome], ...]:
-        if self._entries is None:
-            return self._cache("_entries", tuple(zip(self.actions, self.outcomes)))
-        return self._entries
+        return tuple(zip(self.actions, self.outcomes))
 
-    @property
+    @cached_property
     def actions(self) -> tuple[ActionId, ...]:
-        if self._actions is None:
-            if self._factors is None:
-                return self._cache("_actions", tuple(a for a, _ in self._entries))
-            m1, m2 = self._factors
-            return self._cache("_actions", tuple(itertools.product(m1.actions, m2.actions)))
-        return self._actions
+        if self._factors is None:
+            return tuple(a for a, _ in self.entries)
+        m1, m2 = self._factors
+        return tuple(itertools.product(m1.actions, m2.actions))
 
-    @property
+    @cached_property
     def outcomes(self) -> tuple[Outcome, ...]:
         """Each action's outcome, aligned with ``entries``."""
-        if self._outcomes is None:
-            if self._factors is None:
-                outcomes = tuple(o for _, o in self._entries)
-            elif self.space.kind == SCALAR:
-                outcomes = tuple(_trusted_outcome(self.space, v) for v in self.values.tolist())
-            else:
-                m1, m2 = self._factors
-                outcomes = tuple(_compose_all(m1.outcomes, m2.outcomes))
-            return self._cache("_outcomes", outcomes)
-        return self._outcomes
+        if self._factors is None:
+            return tuple(o for _, o in self.entries)
+        if self.space.kind == SCALAR:
+            return tuple(_trusted_outcome(self.space, v) for v in self.values.tolist())
+        m1, m2 = self._factors
+        return tuple(_compose_all(m1.outcomes, m2.outcomes))
 
-    @property
+    @cached_property
     def phi(self) -> np.ndarray:
         """Each outcome's ``features`` as one read-only (len, k) float
         array, aligned with ``entries``.  phi is additive over
         composition, so a product's rows are sums of its factors' rows."""
-        if self._phi is None:
-            if self._factors is None:
-                phi = feature_rows(self.space, self.outcomes)
-            else:
-                m1, m2 = self._factors
-                # a sum may overflow to inf, as Python floats do silently;
-                # product rejects it on scalar menus
-                with np.errstate(over="ignore"):
-                    rows = m1.phi[:, None, :] + m2.phi[None, :, :]
-                phi = rows.reshape(len(self), rows.shape[2])
-            phi.flags.writeable = False
-            return self._cache("_phi", phi)
-        return self._phi
+        if self._factors is None:
+            phi = feature_rows(self.space, self.outcomes)
+        else:
+            m1, m2 = self._factors
+            # a sum may overflow to inf, as Python floats do silently;
+            # product rejects it on scalar menus
+            with np.errstate(over="ignore"):
+                rows = m1.phi[:, None, :] + m2.phi[None, :, :]
+            phi = rows.reshape(len(self), rows.shape[2])
+        phi.flags.writeable = False
+        return phi
 
     @property
     def values(self) -> np.ndarray:
@@ -215,31 +196,42 @@ class Menu:
             raise SpaceMismatchError()
         return self.phi[:, 0]
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         """Each action's ``action_str``, aligned with ``entries``.
 
         Product and JSON menus get them from their factors' ids or their
         file; any other menu serializes its actions on first use.  They
         live as long as the menu, and nothing is cached across menus."""
-        if self._ids is None:
-            if self._factors is None:
-                return self._cache("_ids", tuple(map(action_str, self.actions)))
-            m1, m2 = self._factors
-            return self._cache("_ids", tuple(f"({s1},{s2})" for s1 in m1.ids for s2 in m2.ids))
-        return self._ids
+        if self._factors is None:
+            return tuple(map(action_str, self.actions))
+        m1, m2 = self._factors
+        return tuple(f"({s1},{s2})" for s1 in m1.ids for s2 in m2.ids)
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {b: i for i, b in enumerate(self.actions)}
 
     def index(self, a: ActionId) -> int:
         """The position of action a in ``entries``; KeyError if absent.
         A product's (a1, a2) sits at i1 * len(m2) + i2."""
         if self._factors is None:
-            if self._index is None:
-                self._cache("_index", {b: i for i, b in enumerate(self.actions)})
-            return self._index[a]
+            return self._positions[a]
         if not (isinstance(a, tuple) and len(a) == 2):
             raise KeyError(a)
         m1, m2 = self._factors
         return m1.index(a[0]) * len(m2) + m2.index(a[1])
+
+    @cached_property
+    def _digest(self) -> int:
+        # streamed to keep large power menus from materializing the full
+        # key string
+        head, body = _canonical_parts(self)
+        h = hashlib.blake2b(head.encode(), digest_size=8)
+        for part in body:
+            h.update(part.encode())
+            h.update(b";")
+        return int.from_bytes(h.digest(), "big")
 
     def to_json(self) -> dict:
         return {
@@ -272,18 +264,13 @@ class Menu:
         return _new_menu(space, None, entries=entries, ids=ids)
 
 
-def _fill(m: Menu, space: Space, factors: tuple | None, **known) -> None:
-    object.__setattr__(m, "space", space)
-    object.__setattr__(m, "_factors", factors)
-    for name in _DERIVED:
-        object.__setattr__(m, name, known.get(name[1:]))
-
-
 def _new_menu(space: Space, factors: tuple | None, **known) -> Menu:
-    # bypass validation for a menu whose invariants hold by construction;
-    # re-validating 10^6-action power menus dominates their build time
+    """A menu whose invariants hold by construction, unvalidated:
+    re-validating 10^6-action power menus dominates their build time.
+    ``known`` seeds derived values the caller already has, keyed by
+    property name (``entries``, ``ids``, ``phi``)."""
     m = object.__new__(Menu)
-    _fill(m, space, factors, **known)
+    vars(m).update(known, space=space, _factors=factors)
     return m
 
 
@@ -338,7 +325,9 @@ def power(m: Menu, n: int) -> Menu:
         if inner is not m:
             # an inner power lives on only as a factor, which needs no
             # more than its own factors
-            _fill(inner, inner.space, inner._factors)
+            kept = {"space": inner.space, "_factors": inner._factors}
+            vars(inner).clear()
+            vars(inner).update(kept)
     return acc
 
 
@@ -404,13 +393,5 @@ def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
 
 
 def menu_hash(menu: Menu) -> int:
-    """64-bit digest of the canonical encoding, kept on the menu; streamed
-    to keep large power menus from materializing the full key string."""
-    if menu._hash is None:
-        head, body = _canonical_parts(menu)
-        h = hashlib.blake2b(head.encode(), digest_size=8)
-        for part in body:
-            h.update(part.encode())
-            h.update(b";")
-        menu._cache("_hash", int.from_bytes(h.digest(), "big"))
-    return menu._hash
+    """64-bit digest of the canonical encoding, kept on the menu."""
+    return menu._digest

@@ -85,6 +85,18 @@ def _softmax(utilities: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
+def _logit(menu: Menu, utilities, named) -> ChoiceDistribution:
+    """Logit on ``utilities()``, computed without numpy's overflow
+    warnings; a utility that is not finite is named by ``named()`` and
+    its action."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        us = utilities()
+    if not np.isfinite(us).all():
+        bad = menu.ids[np.flatnonzero(~np.isfinite(us))[0]]
+        raise ValueError(f"utility {named()} is not finite at action {bad}")
+    return ChoiceDistribution(menu, _softmax(us).tolist())
+
+
 class Rule:
     """Base class; a rule maps menus to choice distributions."""
 
@@ -115,10 +127,8 @@ class MNL(Rule):
                 hit = vals == target
             else:
                 hit = np.abs(vals - target) <= ARGMAX_TIE_TOL * max(1.0, abs(target))
-            p = hit / hit.sum()
-        else:
-            p = _softmax(self.beta * vals)
-        return ChoiceDistribution(menu, p.tolist())
+            return ChoiceDistribution(menu, (hit / hit.sum()).tolist())
+        return _logit(menu, lambda: self.beta * vals, lambda: {"beta": self.beta})
 
 
 @dataclass(frozen=True)
@@ -130,12 +140,8 @@ class GeneralMNL(Rule):
     def choose(self, menu: Menu) -> ChoiceDistribution:
         if menu.space != self.utility.space:
             raise SpaceMismatchError()
-        with np.errstate(over="ignore", invalid="ignore"):
-            us = menu.phi @ np.array(self.utility.coeffs)
-        if not np.isfinite(us).all():
-            bad = menu.ids[np.flatnonzero(~np.isfinite(us))[0]]
-            raise ValueError(f"utility {self.utility._named()} is not finite at action {bad}")
-        return ChoiceDistribution(menu, _softmax(us).tolist())
+        coeffs = np.array(self.utility.coeffs)
+        return _logit(menu, lambda: menu.phi @ coeffs, self.utility._named)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,13 @@ with ``compose``.
 """
 
 import copy
+import gc
 import json
 import math
 import pickle
+import sys
+import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -321,8 +325,9 @@ def test_product_paths_build_no_outcomes(monkeypatch):
     rule = Perturbed(MNL(1.0), 0.05, 7)
     sizes, calls = [], {"compose": 0, "_trusted_outcome": 0}
     for name in ("entries", "outcomes"):
-        getter = getattr(Menu, name).fget
-        spy = property(lambda self, get=getter: (sizes.append(len(self)), get(self))[1])
+        getter = Menu.__dict__[name].func
+        spy = cached_property(lambda self, get=getter: (sizes.append(len(self)), get(self))[1])
+        spy.__set_name__(Menu, name)
         monkeypatch.setattr(Menu, name, spy)
     for module, name in ((stochoice.spaces, "compose"), (stochoice.menus, "_trusted_outcome")):
         original = getattr(module, name)
@@ -342,6 +347,23 @@ def test_product_paths_build_no_outcomes(monkeypatch):
     assert calls == {"compose": 0, "_trusted_outcome": 0}
     assert set(est.distribution.to_json()) == {"b0", "b1"}
     assert len(cert.shocks[1][1]) == 2**12
+
+
+def test_power_retains_only_the_final_menu():
+    # each inner power lives on only as a factor, with its derived values
+    # dropped: what stays is the final menu's ids and values
+    unit = unit_binary_menu()
+    unit.ids, unit.phi
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        menu = power(unit, 16)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    own = sys.getsizeof(menu.ids) + sum(map(sys.getsizeof, menu.ids)) + menu.values.nbytes
+    assert retained < 1.3 * own
 
 
 def test_json_menu_checks_duplicates_on_id_strings():

@@ -916,6 +916,10 @@ class TestExitCodes:
             "certify", "--rule", "mnl", "--menus", "three", "--utility", "utility_nan",
         ],
         "check_mnl_beta_nan": ["check", "--rule", "mnl_nan", "--menus", "three"],
+        "check_axioms_empty": ["check", "--rule", "mnl", "--menus", "three", "--axioms", ""],
+        "check_axioms_only_commas": [
+            "check", "--rule", "mnl", "--menus", "three", "--axioms", ",",
+        ],
     }
 
     # each spec error names what is wrong
@@ -985,13 +989,16 @@ class TestExitCodes:
         assert "linprog" not in done.stderr
 
     def test_overflowing_general_utility_is_named(self, inputs, tmp_path):
-        # in a child process, so that numpy's warnings would reach stderr
+        # in a child process, so that numpy's warnings would reach stderr;
+        # MNL and the general logit share one overflow check
         utility = {"space": {"kind": "real_scalar"}, "beta": 1e308}
-        rule = write(tmp_path / "general_huge.json", {"type": "general_mnl", "utility": utility})
-        done = run_capped(["check", "--rule", rule, "--menus", inputs["ten"]])
-        assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("error: utility {'beta': 1e+308} is not finite")
-        assert "RuntimeWarning" not in done.stderr and "NaN" not in done.stderr
+        rules = {"general_huge": {"type": "general_mnl", "utility": utility},
+                 "mnl_huge": {"type": "mnl", "beta": 1e308}}
+        for name, spec in rules.items():
+            rule = write(tmp_path / f"{name}.json", spec)
+            done = run_capped(["check", "--rule", rule, "--menus", inputs["ten"]])
+            assert done.returncode == 2, done.stderr
+            assert done.stderr == "error: utility {'beta': 1e+308} is not finite at action a1\n"
 
     @pytest.mark.parametrize(
         "argv",

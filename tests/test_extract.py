@@ -53,6 +53,13 @@ class TestExtractBeta:
         # p / (1 - p) was off by 1e-3 at beta = 30 and raised at 40
         assert fitted_beta(MNL(beta)) == beta
 
+    def test_log_odds_where_the_odds_overflow(self):
+        # at beta = 710 the odds e^710 pass the largest float; past
+        # beta ~ 745 the identity's probability underflows to 0
+        assert fitted_beta(MNL(710.0)) == pytest.approx(710.0, rel=1e-12)
+        with pytest.raises(NotPositiveError):
+            fitted_beta(MNL(746.0))
+
     def test_uniform_is_zero(self):
         assert fitted_beta(Uniform()) == 0.0
 

@@ -167,6 +167,16 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False False"
 
 
+def test_no_process_wide_caches():
+    # a menu keeps its derived values in its own dict (cached_property);
+    # a function cache would keep menus, and their arrays, for the
+    # process's life
+    pattern = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|@cache\b|\bimport\b.*\bcache\b")
+    for path in sorted((ROOT / "src" / "stochoice").glob("*.py")):
+        found = pattern.search(path.read_text(encoding="utf-8"))
+        assert found is None, f"{path.name}: {found and found.group()}"
+
+
 def test_readme_library_tour_runs():
     # the tour is the README's one python block; a name it uses that the
     # library no longer has fails here
