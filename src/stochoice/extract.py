@@ -28,6 +28,9 @@ from .spaces import (
 
 PROBE_CONDITION_LIMIT = 1e10
 RECONSTRUCTION_TOL = 1e-10
+# a subnormal probe probability below 2^-1030 keeps fewer than 44
+# significant bits, and the log odds taken from it would lose them
+PROBE_PROBABILITY_FLOOR = 2.0**-1030
 
 
 class NotPositiveError(ValueError):
@@ -41,12 +44,19 @@ def extract_utility(rule: Rule, x: Outcome) -> float:
 
     The odds are the ratio of the two probabilities, not p / (1 - p),
     in which 1 - p cancels once p nears 1.  Where the ratio overflows,
-    the log odds are the difference of the two logs."""
+    the log odds are the difference of the two logs.  A probability
+    below PROBE_PROBABILITY_FLOOR raises ValueError rather than give
+    log odds that have lost precision."""
     probe = Menu(x.space, (("a_e", identity(x.space)), ("a_x", x)))
     dist = rule.choose(probe)
     p_e, p_x = dist["a_e"], dist["a_x"]
     if p_e == 0.0 or p_x == 0.0:
         raise NotPositiveError()
+    if min(p_e, p_x) < PROBE_PROBABILITY_FLOOR:
+        raise ValueError(
+            f"probe probability {min(p_e, p_x)!r} is below 2^-1030 and keeps fewer "
+            "than 44 significant bits: its log odds would lose precision"
+        )
     odds = p_x / p_e
     if math.isinf(odds):
         return math.log(p_x) - math.log(p_e)
@@ -157,10 +167,19 @@ def _corpus_arrays(rule: Rule, corpus: Sequence[Menu], space: Space):
 
 
 def _extremes(r: np.ndarray, menu_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of each menu's largest and of its smallest residual."""
-    order = np.lexsort((r, menu_of))
-    last = np.flatnonzero(np.diff(menu_of, append=-1))
-    return order[last], order[np.append(0, last[:-1] + 1)]
+    """The index of each menu's largest and of its smallest residual, in
+    one pass per menu, as a stable sort by residual within each menu
+    would pick them: the last index holding the largest, where NaN counts
+    as largest, and the first holding the smallest."""
+    first = np.flatnonzero(np.diff(menu_of, prepend=-1))
+    at = np.arange(len(r))
+    top_hit = (r == np.maximum.reduceat(r, first)[menu_of]) | np.isnan(r)
+    low = np.fmin.reduceat(r, first)[menu_of]
+    # a menu of NaNs only has its first index as its smallest
+    bottom_hit = (r == low) | np.isnan(low)
+    top = np.maximum.reduceat(np.where(top_hit, at, -1), first)
+    bottom = np.minimum.reduceat(np.where(bottom_hit, at, len(r)), first)
+    return top, bottom
 
 
 def _min_delta_coeffs(phi: np.ndarray, log_p: np.ndarray, menu_of: np.ndarray) -> np.ndarray:

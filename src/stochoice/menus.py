@@ -46,6 +46,9 @@ MENU_SIZE_GUARD = 1_000_000
 # power menu it saves about 60%
 _SHARED_TEXTS_MIN = 128
 
+# canonical parts joined per blake2b update in a menu's digest
+_DIGEST_BLOCK = 4096
+
 _RESERVED = set("(),")
 _ACTION_TOKENS = re.compile(r"[(),]|[^(),]+")
 _OPEN = object()
@@ -224,13 +227,12 @@ class Menu:
 
     @cached_property
     def _digest(self) -> int:
-        # streamed to keep large power menus from materializing the full
-        # key string
+        # fed in blocks of parts, each part followed by ";", so a large
+        # power menu never materializes the full key string
         head, body = _canonical_parts(self)
         h = hashlib.blake2b(head.encode(), digest_size=8)
-        for part in body:
-            h.update(part.encode())
-            h.update(b";")
+        for i in range(0, len(body), _DIGEST_BLOCK):
+            h.update((";".join(body[i : i + _DIGEST_BLOCK]) + ";").encode())
         return int.from_bytes(h.digest(), "big")
 
     def to_json(self) -> dict:

@@ -43,9 +43,10 @@ class ChoiceDistribution:
         """The distribution with p[i] the probability of entry i."""
         if len(p) != len(menu):
             raise ValueError(f"{len(p)} probabilities for {len(menu)} actions")
-        if any(not q >= 0 for q in p):
+        # min finds every negative, and a NaN anywhere makes the sum NaN
+        total = math.fsum(p) if min(p) >= 0.0 else math.nan
+        if math.isnan(total):
             raise ValueError("negative or NaN choice probability")
-        total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"choice probabilities sum to {total!r}, not 1")
         self.menu, self.p = menu, p
@@ -398,18 +399,19 @@ def probit(sigma: float = 1.0) -> IARU:
 
 
 _M64 = (1 << 64) - 1
+# splitmix64's increment and multipliers as uint64 scalars: array
+# arithmetic with them wraps without a warning, and costs less per call
+# than with Python ints
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return (z ^ (z >> 31)) & _M64
-
-
-def _action_hash(s: str) -> int:
-    digest = hashlib.blake2b(s.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 of each entry of a uint64 array, wrapping mod 2^64.
+    Out of place: an in-place step on a one-element array costs more."""
+    z = z + _GAMMA
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -436,10 +438,13 @@ class Perturbed(Rule):
     def _shocks(self, menu: Menu, ids: tuple[str, ...]) -> list[float]:
         """The shocks of the actions with these id strings in the menu:
         one splitmix64 of the seed and menu hash for the menu, then one
-        blake2b of the id and one splitmix64 per action."""
-        key = _splitmix64((self.seed & _M64) ^ menu_hash(menu))
-        delta = self.delta
-        return [delta * (2.0 * (_splitmix64(key ^ _action_hash(s)) / 2.0**64) - 1.0) for s in ids]
+        blake2b of each id and one splitmix64 over all of them, taking
+        each digest as a big-endian 64-bit integer."""
+        key = _splitmix64(np.array([(self.seed & _M64) ^ menu_hash(menu)], dtype=np.uint64))
+        digests = b"".join([hashlib.blake2b(s.encode(), digest_size=8).digest() for s in ids])
+        z = _splitmix64(np.frombuffer(digests, ">u8") ^ key)
+        # z / 2^63 is 2 * (z / 2^64) exactly: the map to [-delta, delta]
+        return (self.delta * (z / 2.0**63 - 1.0)).tolist()
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         base = self.base.choose(menu).aligned(menu)

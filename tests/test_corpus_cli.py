@@ -434,6 +434,12 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["utility"]["beta"] == 0.0
 
+    def test_subnormal_probe_probability_is_error(self, tmp_path, capsys):
+        rule = write(tmp_path / "mnl.json", {"type": "mnl", "beta": 730.0})
+        code = main(["fit", "--rule", rule, "--space", '{"kind": "real_scalar"}'])
+        assert code == 2
+        assert "lose precision" in capsys.readouterr().err
+
     def test_argmax_rule_is_error(self, tmp_path):
         rule = write(tmp_path / "inf.json", {"type": "mnl", "beta": "+inf"})
         code = main(

@@ -12,6 +12,7 @@ from stochoice import (
     NotPositiveError,
     Outcome,
     Perturbed,
+    Rule,
     Space,
     Uniform,
     Utility,
@@ -31,7 +32,9 @@ from stochoice import (
     unit_binary_menu,
     upsilon,
 )
+import stochoice.extract
 from stochoice.axioms import decomposability_epsilon
+from stochoice.extract import _extremes
 from stochoice.spaces import SpaceMismatchError
 
 from conftest import Tabular
@@ -59,6 +62,14 @@ class TestExtractBeta:
         assert fitted_beta(MNL(710.0)) == pytest.approx(710.0, rel=1e-12)
         with pytest.raises(NotPositiveError):
             fitted_beta(MNL(746.0))
+
+    @pytest.mark.parametrize("beta", [720.0, 730.0, 740.0, -730.0])
+    def test_subnormal_probe_probability_is_refused(self, beta):
+        # past |beta| ~ 714 a probe probability e^-|beta| falls below
+        # 2^-1030, where fewer than 44 of its bits are left: the fit read
+        # 729.99999982 at 730 and 739.9974 at 740
+        with pytest.raises(ValueError, match="below 2\\^-1030 .* lose precision"):
+            fitted_beta(MNL(beta))
 
     def test_uniform_is_zero(self):
         assert fitted_beta(Uniform()) == 0.0
@@ -471,6 +482,58 @@ class TestCertify:
         assert set(data) == {"utility", "delta", "menus", "corpus_size"}
         assert data["menus"][0]["menu_id"] == "menu_0000"
         assert set(data["menus"][0]["shocks"]) == {"b0", "b1"}
+
+
+def _lexsort_extremes(r, menu_of):
+    """Reference: a stable sort by residual within each menu, read at
+    each menu's last and first position."""
+    order = np.lexsort((r, menu_of))
+    last = np.flatnonzero(np.diff(menu_of, append=-1))
+    return order[last], order[np.append(0, last[:-1] + 1)]
+
+
+class TestExtremes:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("largest", [1, 8])
+    def test_ties_break_as_in_a_stable_sort(self, seed, largest):
+        # integer residuals tie often, and 0.0 ties -0.0; menus of one
+        # action each when largest is 1
+        rng = np.random.default_rng(seed)
+        menu_of = np.repeat(np.arange(50), rng.integers(1, largest + 1, size=50))
+        r = rng.integers(-2, 3, size=len(menu_of)).astype(float)
+        r[r == 0.0] = rng.choice([0.0, -0.0], size=int((r == 0.0).sum()))
+        top, bottom = _extremes(r, menu_of)
+        expected_top, expected_bottom = _lexsort_extremes(r, menu_of)
+        assert top.tolist() == expected_top.tolist()
+        assert bottom.tolist() == expected_bottom.tolist()
+
+    def test_nan_residuals_break_as_in_a_stable_sort(self):
+        # a stable sort puts NaNs last: the last NaN is a menu's top
+        nan = math.nan
+        r = np.array([1.0, nan, 2.0, nan, nan, nan, 3.0, -1.0, -1.0, nan, 5.0])
+        menu_of = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2, 3, 4])
+        top, bottom = _extremes(r, menu_of)
+        expected_top, expected_bottom = _lexsort_extremes(r, menu_of)
+        assert top.tolist() == expected_top.tolist() == [3, 5, 6, 9, 10]
+        assert bottom.tolist() == expected_bottom.tolist() == [0, 4, 7, 9, 10]
+
+    def test_nan_residual_fails_the_reconstruction_check(self):
+        class LastIsNaN(Rule):
+            def choose(self, menu):
+                dist = Uniform().choose(menu)
+                dist.p[-1] = math.nan
+                return dist
+
+        menu = scalar_menu({"a": 0.0, "b": 1.0, "c": 2.0})
+        with pytest.raises(RuntimeError, match="reconstruction"):
+            certify_closeness(LastIsNaN(), [UNIT, menu], Utility.scalar_beta(1.0))
+
+    def test_fit_is_bit_identical_to_the_sorting_fit(self, monkeypatch):
+        corpus = [UNIT, power(UNIT, 12)]
+        rule = Perturbed(MNL(1.0), 0.05, 2)
+        beta = fit_beta_min_delta(rule, corpus)
+        monkeypatch.setattr(stochoice.extract, "_extremes", _lexsort_extremes)
+        assert fit_beta_min_delta(rule, corpus).hex() == beta.hex()
 
 
 class TestCertifyAutoUtility:

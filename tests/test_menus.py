@@ -378,6 +378,18 @@ def test_menu_hash_is_kept_on_the_menu(monkeypatch):
     assert sizes == [4096, 4096]
 
 
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+def test_block_fed_digest_is_the_digest_of_the_whole_key(blocks, extra):
+    # the digest is fed blocks of parts; read at once, each part followed
+    # by ";", the whole key gives the same digest
+    import stochoice.menus
+
+    size = blocks * stochoice.menus._DIGEST_BLOCK + extra
+    menu = scalar_menu({f"a{i}": i / 7 for i in range(size)})
+    whole = hashlib.blake2b((canonical_key(menu) + ";").encode(), digest_size=8).digest()
+    assert menu_hash(menu) == int.from_bytes(whole, "big")
+
+
 SIGNED_ZERO_PAYLOADS = {
     "real_scalar": (Space.scalar(), [0.0, -0.0, 1.5, -1.5, 0.1]),
     "real_vector": (Space.vector(2), [(-0.0, 1.0), (0.0, 1.0), (0.1, -0.0), (2.5, -2.5)]),

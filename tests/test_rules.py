@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -23,6 +24,7 @@ from stochoice import (
     Uniform,
     Utility,
     diagonal_action,
+    menu_hash,
     menu_of,
     power,
     probit,
@@ -35,6 +37,7 @@ from stochoice import (
 from stochoice.quadrature import adaptive_simpson
 
 from conftest import Tabular, iaru_equals_mnl_probe
+from test_menus import _golden_menus
 
 UNIT = unit_binary_menu()
 SQUARE = product(UNIT, UNIT)
@@ -430,6 +433,54 @@ class TestPerturbed:
         assert after - before < 1 << 20
 
 
+M64 = (1 << 64) - 1
+
+
+def _splitmix64_oracle(z: int) -> int:
+    z = (z + 0x9E3779B97F4A7C15) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def _shock_oracles(seed, menu, deltas):
+    """The scalar definition of the Perturbed shocks, one Python-int
+    splitmix64 per step: the menu key, then per action its id's 8-byte
+    blake2b digest read big-endian, XORed with the key and mixed."""
+    key = _splitmix64_oracle((seed & M64) ^ menu_hash(menu))
+    zs = [
+        _splitmix64_oracle(key ^ int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "big"))
+        for s in menu.ids
+    ]
+    return {delta: [delta * (2.0 * (z / 2.0**64) - 1.0) for z in zs] for delta in deltas}
+
+
+class TestShockKernel:
+    DELTAS = (1e-300, 0.05, 1.0, 1e300)
+
+    def test_splitmix64_matches_the_scalar_definition(self):
+        from stochoice.rules import _splitmix64
+
+        rng = np.random.default_rng(5)
+        zs = [0, 1, 2**31 - 1, 2**63 - 1, 2**63, 2**63 + 1, M64 - 1, M64]
+        zs += [int(z) for z in rng.integers(0, M64, size=1000, dtype=np.uint64, endpoint=True)]
+        mixed = _splitmix64(np.array(zs, dtype=np.uint64))
+        assert mixed.tolist() == [_splitmix64_oracle(z) for z in zs]
+
+    @pytest.mark.parametrize("name", ["lottery", "power", "scalar", "streams"])
+    def test_shocks_are_bit_identical_to_the_scalar_definition(self, name):
+        menu = power(UNIT, 14) if name == "power" else _golden_menus()[name]
+        h = menu_hash(menu)
+        # the last three seeds make the key's input seed ^ hash read
+        # 2^63, 2^63 + 1 and 2^64 - 1
+        seeds = (0, 2**31 - 1, 2**64 - 1, -1, h ^ 2**63, h ^ (2**63 + 1), h ^ M64)
+        for seed in seeds:
+            expected = _shock_oracles(seed, menu, self.DELTAS)
+            for delta in self.DELTAS:
+                shocks = Perturbed(MNL(1.0), delta, seed)._shocks(menu, menu.ids)
+                assert [s.hex() for s in shocks] == [s.hex() for s in expected[delta]]
+
+
 class TestChoiceDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -442,6 +493,28 @@ class TestChoiceDistribution:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             ChoiceDistribution(unit_binary_menu(), [math.nan, 1.0])
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [math.nan, 0.5, 0.5],
+            [0.5, math.nan, 0.5],
+            [0.5, 0.5, math.nan],
+            [-0.5, 0.75, 0.75],
+            [0.75, -0.5, 0.75],
+            [0.75, 0.75, -0.5],
+            [1.0, -math.inf, math.inf],
+            [math.nan, -1.0, 2.0],
+        ],
+    )
+    def test_rejects_negative_or_nan_anywhere(self, p):
+        menu = scalar_menu({"a": 0.0, "b": 1.0, "c": 2.0})
+        with pytest.raises(ValueError, match="^negative or NaN choice probability$"):
+            ChoiceDistribution(menu, p)
+
+    def test_accepts_negative_zero(self):
+        dist = ChoiceDistribution(unit_binary_menu(), [1.0, -0.0])
+        assert dist["b1"] == 0.0
 
 
 class TestRuleJson:
