@@ -52,6 +52,7 @@ from .rules import (
     QuadratureError,
     Rule,
     Uniform,
+    choose_corpus,
     probit,
     rule_from_json,
     rule_to_json,

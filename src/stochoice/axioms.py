@@ -168,16 +168,18 @@ def decomposability_epsilon(
     m2: Menu,
     tol: float = DEFAULT_TOL,
     menu_id: str | None = None,
+    joint: Menu | None = None,
 ) -> AxiomReport:
     """Worst multiplicative gap between the product-menu distribution and
-    the independent product of the component distributions."""
+    the independent product of the component distributions.  ``joint``
+    is product(m1, m2) where the caller has built it."""
     if m1.space != m2.space:
         raise SpaceMismatchError()
     if len(m1) * len(m2) > MENU_SIZE_GUARD:
         raise ValueError(f"product menu would exceed {MENU_SIZE_GUARD} actions")
     p1 = rule.choose(m1).aligned(m1)
     p2 = rule.choose(m2).aligned(m2)
-    joint_menu = product(m1, m2)
+    joint_menu = product(m1, m2) if joint is None else joint
     joint = rule.choose(joint_menu).aligned(joint_menu)
     # the product's entries pair the factors' in row-major order
     pairs = itertools.product(zip(m1.actions, p1), zip(m2.actions, p2))

@@ -15,13 +15,15 @@ import glob
 import json
 import math
 import sys
+from itertools import zip_longest
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import axioms
 from .corpus import CorpusSpec, generate_corpus, sample_pairs
 from .extract import certify_closeness, fit_utility_representation, upsilon
-from .menus import Menu, product, unit_binary_menu
-from .rules import Rule, rule_from_json
+from .menus import MENU_SIZE_GUARD, Menu, product, unit_binary_menu
+from .rules import Rule, choose_corpus, rule_from_json
 from .spaces import Space, Utility
 
 EXIT_OK = 0
@@ -43,8 +45,44 @@ class InputError(Exception):
 
 
 def _dumps(payload) -> str:
-    """The JSON text every command prints or writes."""
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The JSON text every command prints or writes:
+    ``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    ``indent`` makes json encode in pure Python.  Here json's C encoder
+    writes each scalar and each dict or list that holds no dict or list,
+    with its items separated by a newline and their indentation; only
+    the containers above those, whose keys must be strings, are walked
+    in Python."""
+    return _indented(payload, "\n", {})
+
+
+_CONTAINER = {dict, list, tuple}.__contains__
+
+
+def _indented(value, newline: str, encoders: dict) -> str:
+    """``value`` as json.dumps with indent=2 and sorted keys writes it at
+    the depth whose line breaks are ``newline``; ``encoders`` keeps the
+    C encoder of each depth."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    children = value.values() if kind is dict else value if kind in (list, tuple) else None
+    if children is None or not any(map(_CONTAINER, map(type, children))):
+        if inner not in encoders:
+            encoders[inner] = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": "))
+        text = encoders[inner].encode(value)
+        if not children:
+            return text
+        return f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}"
+    if kind is dict:
+        items = [
+            f"{encode_basestring_ascii(k)}: {_indented(v, inner, encoders)}"
+            for k, v in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    items = [_indented(v, inner, encoders) for v in value]
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"
 
 
 def _load_json(path: str):
@@ -88,52 +126,66 @@ def _load_menus(args) -> list[tuple[str, Menu]]:
     raise InputError("one of --menus or --corpus is required")
 
 
-class _CorpusChoices(Rule):
-    """The rule with each corpus menu's distribution computed once and
-    shared by every checker; any other menu is chosen afresh.
+class _Kept(Rule):
+    """The rule with kept choices: ``keep`` chooses from the menus it is
+    given in one ``choose_corpus`` pass and keeps, by menu identity, each
+    distribution and the error of the menu that failed, which ``choose``
+    raises when asked for that menu.  Any other menu is chosen afresh,
+    or, where ``probes`` is a dict, once per value and kept there.
 
-    Menus are keyed by id, and each is held here, so no other menu can
-    share an id with one while this object lives."""
+    Kept menus are held here, so no other menu can share an id with one
+    while this object lives."""
 
-    def __init__(self, rule: Rule, menus: list[Menu]) -> None:
+    def __init__(self, rule: Rule, kept: dict | None = None, probes: dict | None = None) -> None:
         self.rule = rule
-        self.menus = {id(m): m for m in menus}
-        self.dists = {}
+        self.kept = {} if kept is None else kept
+        self.probes = probes
+
+    def keep(self, menus: list[Menu]) -> None:
+        dists, error = choose_corpus(self.rule, menus)
+        self.kept.update((id(m), (m, d)) for m, d in zip(menus, dists))
+        if error is not None:
+            failed = menus[len(dists)]
+            self.kept[id(failed)] = (failed, error)
 
     def choose(self, menu: Menu):
-        key = id(menu)
-        if self.menus.get(key) is not menu:
+        held, dist = self.kept.get(id(menu), (None, None))
+        if held is menu:
+            if isinstance(dist, Exception):
+                raise dist
+            return dist
+        if self.probes is None:
             return self.rule.choose(menu)
-        if key not in self.dists:
-            self.dists[key] = self.rule.choose(menu)
-        return self.dists[key]
-
-
-class _ProbeChoices(Rule):
-    """The corpus choices for the identity check, which chooses from
-    nothing but corpus menus and its probes {b0: 0, b1: 1/k}: any other
-    menu is a probe, chosen once per value and so once per k."""
-
-    def __init__(self, corpus: _CorpusChoices) -> None:
-        self.corpus = corpus
-        self.probes = {}
-
-    def choose(self, menu: Menu):
-        if self.corpus.menus.get(id(menu)) is menu:
-            return self.corpus.choose(menu)
         if menu not in self.probes:
-            self.probes[menu] = self.corpus.rule.choose(menu)
+            self.probes[menu] = self.rule.choose(menu)
         return self.probes[menu]
+
+
+def _products(sampled) -> list[Menu]:
+    """product(m1, m2) of each sampled pair, up to the first pair that
+    ``decomposability_epsilon`` refuses or whose product fails: that
+    pair's check builds it again and raises the error in its place."""
+    joints = []
+    for m1, m2 in sampled:
+        if m1.space != m2.space or len(m1) * len(m2) > MENU_SIZE_GUARD:
+            break
+        try:
+            joints.append(product(m1, m2))
+        except (ArithmeticError, ValueError):
+            break
+    return joints
 
 
 def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
     """Per requested axiom, the corpus report merged by
     ``axioms.merge_reports`` and the list of every per-instance witness.
-    Each corpus menu and each identity probe is chosen from once;
-    products and continuity's moved menus are chosen afresh."""
+    The corpus menus, and then the sampled products, are each chosen
+    from in one pass, and each identity probe once; continuity's moved
+    menus are chosen afresh."""
     menus = [m for _, m in labeled_menus]
-    rule = _CorpusChoices(rule, menus)
-    probing = _ProbeChoices(rule)
+    rule = _Kept(rule)
+    rule.keep(menus)
+    probing = _Kept(rule.rule, rule.kept, probes={})
     per_menu = {
         "neutrality": lambda m, mid: axioms.neutrality_epsilon(rule, m, tol=tol, menu_id=mid),
         "positivity": lambda m, mid: axioms.positivity_check(rule, m, menu_id=mid),
@@ -148,9 +200,11 @@ def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
             continue
         if name == "decomposability":
             sampled = sample_pairs(menus, pairs, seed)
+            joints = _products(sampled)
+            rule.keep(joints)
             per_instance = [
-                axioms.decomposability_epsilon(rule, m1, m2, tol=tol)
-                for m1, m2 in sampled
+                axioms.decomposability_epsilon(rule, m1, m2, tol=tol, joint=joint)
+                for (m1, m2), joint in zip_longest(sampled, joints)
             ]
         else:
             per_instance = [per_menu[name](m, mid) for mid, m in labeled_menus]

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .menus import Menu, _new_menu
+from .menus import Menu, _new_menu, id_digests
 from .spaces import (
     DISTRIBUTION,
     MEAN_STDDEV,
@@ -167,7 +167,8 @@ def generate_corpus(spec: CorpusSpec) -> list[Menu]:
     Every payload is drawn first, then all of them are checked at once
     (``spaces._outcomes``), so the first invalid draw raises its error,
     also ahead of a later sampler that gives up.  The menus' feature
-    rows are slices of one ``feature_rows`` array over the corpus."""
+    rows are slices of one ``feature_rows`` array over the corpus, and
+    their id digests slices of one array over the ids ``a0, a1, ...``."""
     rng = random.Random(spec.seed)
     dup = spec.sampler.get("duplicate_prob", DEFAULT_DUPLICATE_PROB)
     draw = _sampler(spec.space, spec.sampler, rng)
@@ -197,11 +198,12 @@ def generate_corpus(spec: CorpusSpec) -> list[Menu]:
     phi = feature_rows(spec.space, outcomes)
     phi.flags.writeable = False
     ids = tuple(f"a{i}" for i in range(spec.actions_max))
+    digests = id_digests(ids)
     bounds = list(accumulate(sizes, initial=0))
     # the ids a0, a1, ... are valid by construction
     return [
         _new_menu(spec.space, None, entries=tuple(zip(ids, outcomes[a:b])), ids=ids[: b - a],
-                  phi=phi[a:b])
+                  phi=phi[a:b], id_digests=digests[: b - a])
         for a, b in zip(bounds, bounds[1:])
     ]
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .axioms import effective_neutrality_epsilon, power_diagonal_log
 from .menus import Menu
-from .rules import ChoiceDistribution, Rule
+from .rules import ChoiceDistribution, Rule, _bounds, _leading, choose_corpus
 from .spaces import (
     Outcome,
     Space,
@@ -130,40 +131,60 @@ def upsilon(
     return UpsilonEstimate(estimate, n_max, bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosenessCertificate:
     """Witness that a rule is delta-close to logit over a corpus: per-menu
-    shocks s with |s| <= delta reproducing the rule as softmax(u + s)."""
+    shocks s with |s| <= delta reproducing the rule as softmax(u + s).
+
+    The shocks of every action are kept as one array, ``values``, in the
+    order of ``action_ids``, the ids of each menu named in ``menu_ids``;
+    ``shocks`` pairs each menu id with its {action id: shock}."""
 
     utility: Utility
     delta: float
-    shocks: tuple[tuple[str, dict], ...]
-    corpus_size: int
+    menu_ids: tuple[str, ...]
+    action_ids: tuple[tuple[str, ...], ...]
+    values: np.ndarray
+
+    @property
+    def corpus_size(self) -> int:
+        return len(self.menu_ids)
+
+    @property
+    def shocks(self) -> tuple[tuple[str, dict], ...]:
+        values = self.values.tolist()
+        bounds = _bounds(self.action_ids)
+        return tuple(
+            (mid, dict(zip(ids, values[a:b])))
+            for mid, ids, a, b in zip(self.menu_ids, self.action_ids, bounds, bounds[1:])
+        )
 
     def to_json(self) -> dict:
         return {
             "utility": self.utility.to_json(),
             "delta": self.delta,
-            "menus": [
-                {"menu_id": mid, "shocks": dict(sh)} for mid, sh in self.shocks
-            ],
+            "menus": [{"menu_id": mid, "shocks": sh} for mid, sh in self.shocks],
             "corpus_size": self.corpus_size,
         }
 
 
 def _corpus_arrays(rule: Rule, corpus: Sequence[Menu], space: Space):
-    """One pass over a nonempty corpus, choosing from each menu once: the
-    probability, feature row and menu index of every action in order."""
-    probs = []
-    for menu in corpus:
-        if menu.space != space:
-            raise SpaceMismatchError()
-        p = rule.choose(menu).aligned(menu)
-        if min(p) <= 0.0:
-            raise ValueError("non-positive probability in corpus")
-        probs += p
+    """The probability, feature row and menu index of every action of a
+    nonempty corpus, in order, choosing from each menu once
+    (``rules.choose_corpus``).  The first menu off ``space``, with a
+    probability that is not positive, or failing to choose, raises as a
+    loop over the menus would."""
+    on_space = _leading(corpus, lambda m: m.space == space)
+    dists, error = choose_corpus(rule, corpus[:on_space])
+    probs = np.array(list(chain.from_iterable(d.aligned(m) for d, m in zip(dists, corpus))))
+    if (probs <= 0.0).any():
+        raise ValueError("non-positive probability in corpus")
+    if error is not None:
+        raise error
+    if on_space < len(corpus):
+        raise SpaceMismatchError()
     menu_of = np.repeat(np.arange(len(corpus)), [len(m) for m in corpus])
-    return np.array(probs), np.concatenate([m.phi for m in corpus]), menu_of
+    return probs, np.concatenate([m.phi for m in corpus]), menu_of
 
 
 def _extremes(r: np.ndarray, menu_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +250,8 @@ def certify_closeness(
     """Certify how close the rule is to logit with utility u, by default
     the utility ``coeffs . features`` of smallest delta on the corpus.
 
-    One pass chooses from each menu once.  Per menu, the residuals
+    One pass chooses from every menu, in array passes for the logit
+    family and ``Perturbed``.  Per menu, the residuals
     r(a) = ln p(a) - u(o(a)) are centered at the midpoint of their range
     (which minimizes the sup norm), giving shocks s(a) and a per-menu
     delta of half the residual spread.  The corpus delta is the maximum.
@@ -267,12 +289,8 @@ def certify_closeness(
     # a NaN residual fails too
     if not np.max(np.abs(rebuilt - probs)) <= RECONSTRUCTION_TOL:
         raise RuntimeError("certificate reconstruction check failed")
-    shocks = tuple(
-        (mid, {a: float(v) for a, v in zip(menu.ids, s[i:])})
-        for mid, menu, i in zip(menu_ids, corpus, first)
-    )
     delta = float(np.max(r[top] - r[bottom]) / 2.0)
-    return ClosenessCertificate(u, delta, shocks, len(corpus))
+    return ClosenessCertificate(u, delta, tuple(menu_ids), tuple(m.ids for m in corpus), s)
 
 
 def fit_beta_min_delta(rule: Rule, corpus: Sequence[Menu]) -> float:

@@ -87,6 +87,15 @@ def action_from_str(s: str) -> ActionId:
     raise ValueError(f"malformed action id: {s!r}")
 
 
+def id_digests(ids) -> np.ndarray:
+    """Each id's 8-byte blake2b digest, read as a big-endian integer, in
+    one read-only uint64 array."""
+    raw = b"".join([hashlib.blake2b(s.encode(), digest_size=8).digest() for s in ids])
+    digests = np.frombuffer(raw, ">u8").astype(np.uint64)
+    digests.flags.writeable = False
+    return digests
+
+
 def _check_atoms(a: ActionId) -> None:
     if isinstance(a, str):
         if _RESERVED & set(a):
@@ -212,6 +221,13 @@ class Menu:
         return tuple(f"({s1},{s2})" for s1 in m1.ids for s2 in m2.ids)
 
     @cached_property
+    def id_digests(self) -> np.ndarray:
+        """``id_digests`` of ``ids``, the per-action input of
+        ``Perturbed``'s shocks, kept with the ids; ``generate_corpus``
+        gives its menus slices of one array over their shared ids."""
+        return id_digests(self.ids)
+
+    @cached_property
     def _positions(self) -> dict:
         return {b: i for i, b in enumerate(self.actions)}
 
@@ -270,7 +286,7 @@ def _new_menu(space: Space, factors: tuple | None, **known) -> Menu:
     """A menu whose invariants hold by construction, unvalidated:
     re-validating 10^6-action power menus dominates their build time.
     ``known`` seeds derived values the caller already has, keyed by
-    property name (``entries``, ``ids``, ``phi``)."""
+    property name (``entries``, ``ids``, ``phi``, ``id_digests``)."""
     m = object.__new__(Menu)
     vars(m).update(known, space=space, _factors=factors)
     return m

@@ -9,16 +9,18 @@ test subjects.
 
 from __future__ import annotations
 
-import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-from .menus import ActionId, Menu, action_str, menu_hash
+from .menus import ActionId, Menu, action_str, id_digests, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
-from .spaces import SpaceMismatchError, Utility, json_int, sort_and_cut
+from .spaces import SCALAR, SpaceMismatchError, Utility, json_int, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
@@ -27,6 +29,9 @@ ARGMAX_TIE_TOL = 1e-12
 DIAGONAL_RTOL = 1e-10
 # IARU's absolute tolerance on its summed group masses
 QUAD_TOL = 1e-10
+# what choosing from one menu may raise; a corpus pass defers it to the
+# point where a loop over the menus would have reached that menu
+_CHOICE_ERRORS = (ArithmeticError, LookupError, RuntimeError, ValueError)
 
 
 class ChoiceDistribution:
@@ -80,29 +85,87 @@ class ChoiceDistribution:
         return dict(zip(self.menu.ids, self.p))
 
 
-def _softmax(utilities: np.ndarray) -> np.ndarray:
-    shifted = utilities - np.max(utilities)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def _logit(menu: Menu, utilities, named) -> ChoiceDistribution:
-    """Logit on ``utilities()``, computed without numpy's overflow
-    warnings; a utility that is not finite is named by ``named()`` and
-    its action."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        us = utilities()
-    if not np.isfinite(us).all():
-        bad = menu.ids[np.flatnonzero(~np.isfinite(us))[0]]
-        raise ValueError(f"utility {named()} is not finite at action {bad}")
-    return ChoiceDistribution(menu, _softmax(us).tolist())
-
-
 class Rule:
-    """Base class; a rule maps menus to choice distributions."""
+    """Base class; a rule maps menus to choice distributions.
+
+    The logit family and ``Perturbed`` also define ``_pass(menus)``,
+    which ``choose_corpus`` runs on a corpus and their ``choose`` on one
+    menu.  It chooses from the longest prefix of the menus that raises
+    no error in array passes, and returns the probabilities of that
+    prefix, concatenated in entry order as one list, its length, and the
+    error the next menu raises, or None."""
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         raise NotImplementedError
+
+
+def _bounds(menus: Sequence[Menu]) -> list[int]:
+    """Where each menu's actions start in the menus' concatenation, and
+    its length last."""
+    return list(accumulate(map(len, menus), initial=0))
+
+
+def _leading(menus: Sequence[Menu], ok) -> int:
+    """The number of leading menus for which ``ok(menu)`` holds."""
+    return next((i for i, m in enumerate(menus) if not ok(m)), len(menus))
+
+
+def choose_corpus(rule: Rule, menus: Sequence[Menu]):
+    """``rule.choose`` of each menu, in order, up to the first menu that
+    fails, and the error that menu raises, or None.  A caller raises the
+    error where a loop over the menus would have reached that menu.
+
+    A rule with ``_pass`` (the logit family and ``Perturbed``) takes a
+    corpus of two or more menus in one array pass, whose segments equal
+    its one-menu ``choose`` bit for bit and are checked as
+    ``ChoiceDistribution`` checks them; one menu, and any other rule,
+    go through ``choose``."""
+    dists = []
+    if len(menus) == 1 or not hasattr(rule, "_pass"):
+        for menu in menus:
+            try:
+                dists.append(rule.choose(menu))
+            except _CHOICE_ERRORS as exc:
+                return dists, exc
+        return dists, None
+    values, k, error = rule._pass(menus)
+    bounds = _bounds(menus[:k])
+    for menu, a, b in zip(menus, bounds, bounds[1:]):
+        try:
+            dists.append(ChoiceDistribution(menu, values[a:b]))
+        except ValueError as exc:
+            return dists, exc
+    return dists, error
+
+
+def _choose_one(self, menu: Menu) -> ChoiceDistribution:
+    """``choose`` of a rule with ``_pass``: the pass over one menu."""
+    values, _, error = self._pass([menu])
+    if error is not None:
+        raise error
+    return ChoiceDistribution(menu, values)
+
+
+def _logit_pass(menus: Sequence[Menu], us: np.ndarray, named, error):
+    """``_pass`` of logit on the menus' concatenated utilities ``us``.
+
+    Each segment is shifted by its largest utility and exponentiated,
+    then divided by the sum of its own exps (``np.add.reduceat``, which
+    reduces each segment alone, so no other segment affects it).  The
+    first utility that is not finite ends the pass at its menu with an
+    error naming ``named()`` and its action."""
+    bounds = _bounds(menus)
+    bad = np.flatnonzero(~np.isfinite(us))
+    if bad.size:
+        k = bisect_right(bounds, bad[0]) - 1
+        action = menus[k].ids[bad[0] - bounds[k]]
+        error = ValueError(f"utility {named()} is not finite at action {action}")
+        menus, bounds, us = menus[:k], bounds[: k + 1], us[: bounds[k]]
+    if not menus:
+        return [], 0, error
+    sizes = np.diff(bounds)
+    e = np.exp(us - np.maximum.reduceat(us, bounds[:-1]).repeat(sizes))
+    return (e / np.add.reduceat(e, bounds[:-1]).repeat(sizes)).tolist(), len(menus), error
 
 
 @dataclass(frozen=True)
@@ -120,16 +183,30 @@ class MNL(Rule):
         if math.isnan(self.beta):
             raise ValueError("MNL beta must not be NaN")
 
-    def choose(self, menu: Menu) -> ChoiceDistribution:
-        vals = menu.values
-        if math.isinf(self.beta):
-            target = vals.max() if self.beta > 0 else vals.min()
-            if all(float(v).is_integer() for v in vals):
-                hit = vals == target
-            else:
-                hit = np.abs(vals - target) <= ARGMAX_TIE_TOL * max(1.0, abs(target))
-            return ChoiceDistribution(menu, (hit / hit.sum()).tolist())
-        return _logit(menu, lambda: self.beta * vals, lambda: {"beta": self.beta})
+    choose = _choose_one
+
+    def _pass(self, menus: Sequence[Menu]):
+        k = _leading(menus, lambda m: m.space.kind == SCALAR)
+        error = SpaceMismatchError() if k < len(menus) else None
+        menus = menus[:k]
+        if not menus:
+            return [], 0, error
+        vals = np.concatenate([m.values for m in menus])
+        if not math.isinf(self.beta):
+            with np.errstate(over="ignore", invalid="ignore"):
+                us = self.beta * vals
+            return _logit_pass(menus, us, lambda: {"beta": self.beta}, error)
+        # each menu's actions within ARGMAX_TIE_TOL of its best, or equal
+        # to it where all its outcomes are integers
+        bounds = _bounds(menus)
+        starts, sizes = bounds[:-1], np.diff(bounds)
+        best = np.maximum if self.beta > 0 else np.minimum
+        target = best.reduceat(vals, starts).repeat(sizes)
+        integral = np.logical_and.reduceat(vals == np.floor(vals), starts).repeat(sizes)
+        near = np.abs(vals - target) <= ARGMAX_TIE_TOL * np.maximum(1.0, np.abs(target))
+        hit = np.where(integral, vals == target, near)
+        counts = np.add.reduceat(hit, starts, dtype=np.int64).repeat(sizes)
+        return (hit / counts).tolist(), k, error
 
 
 @dataclass(frozen=True)
@@ -138,11 +215,18 @@ class GeneralMNL(Rule):
 
     utility: Utility
 
-    def choose(self, menu: Menu) -> ChoiceDistribution:
-        if menu.space != self.utility.space:
-            raise SpaceMismatchError()
-        coeffs = np.array(self.utility.coeffs)
-        return _logit(menu, lambda: menu.phi @ coeffs, self.utility._named)
+    choose = _choose_one
+
+    def _pass(self, menus: Sequence[Menu]):
+        space = self.utility.space
+        k = _leading(menus, lambda m: m.space == space)
+        error = SpaceMismatchError() if k < len(menus) else None
+        menus = menus[:k]
+        if not menus:
+            return [], 0, error
+        with np.errstate(over="ignore", invalid="ignore"):
+            us = np.concatenate([m.phi for m in menus]) @ np.array(self.utility.coeffs)
+        return _logit_pass(menus, us, self.utility._named, error)
 
 
 @dataclass(frozen=True)
@@ -436,31 +520,51 @@ class Perturbed(Rule):
         return self._shocks(menu, (action_str(a),))[0]
 
     def _shocks(self, menu: Menu, ids: tuple[str, ...]) -> list[float]:
-        """The shocks of the actions with these id strings in the menu:
-        one splitmix64 of the seed and menu hash for the menu, then one
-        blake2b of each id and one splitmix64 over all of them, taking
-        each digest as a big-endian 64-bit integer."""
-        key = _splitmix64(np.array([(self.seed & _M64) ^ menu_hash(menu)], dtype=np.uint64))
-        digests = b"".join([hashlib.blake2b(s.encode(), digest_size=8).digest() for s in ids])
-        z = _splitmix64(np.frombuffer(digests, ">u8") ^ key)
-        # z / 2^63 is 2 * (z / 2^64) exactly: the map to [-delta, delta]
-        return (self.delta * (z / 2.0**63 - 1.0)).tolist()
+        """The shocks of the actions with these id strings in the menu."""
+        return self._shock_array([menu], id_digests(ids), [len(ids)]).tolist()
 
-    def choose(self, menu: Menu) -> ChoiceDistribution:
-        base = self.base.choose(menu).aligned(menu)
-        shocks = self._shocks(menu, menu.ids)
-        try:
-            weighted = [p * math.exp(s) if p > 0 else 0.0 for p, s in zip(base, shocks)]
-            total = math.fsum(weighted)
-        except OverflowError:
-            total = 0.0
-        if total == 0.0:
-            # every weight overflows or underflows: shift the shocks by the
-            # largest one that carries weight
-            top = max(s for p, s in zip(base, shocks) if p > 0)
-            weighted = [p * math.exp(s - top) if p > 0 else 0.0 for p, s in zip(base, shocks)]
-            total = math.fsum(weighted)
-        return ChoiceDistribution(menu, [w / total for w in weighted])
+    def _shock_array(self, menus: Sequence[Menu], digests: np.ndarray, sizes) -> np.ndarray:
+        """The shocks of actions with these id digests, the first
+        ``sizes[0]`` of them in menus[0] and so on: one splitmix64 of the
+        seed and menu hash per menu, then one splitmix64 of each digest
+        XOR its menu's key."""
+        hashes = [(self.seed & _M64) ^ menu_hash(m) for m in menus]
+        keys = _splitmix64(np.array(hashes, dtype=np.uint64))
+        z = _splitmix64(digests ^ keys.repeat(sizes))
+        # z / 2^63 is 2 * (z / 2^64) exactly: the map to [-delta, delta]
+        return self.delta * (z / 2.0**63 - 1.0)
+
+    choose = _choose_one
+
+    def _pass(self, menus: Sequence[Menu]):
+        dists, error = choose_corpus(self.base, menus)
+        menus = menus[: len(dists)]
+        if not menus:
+            return [], 0, error
+        bounds = _bounds(menus)
+        digests = np.concatenate([m.id_digests for m in menus])
+        shocks = self._shock_array(menus, digests, np.diff(bounds)).tolist()
+        values = []
+        for d, m, a, b in zip(dists, menus, bounds, bounds[1:]):
+            values += _perturb(d.aligned(m), shocks[a:b])
+        return values, len(menus), error
+
+
+def _perturb(base: list[float], shocks: list[float]) -> list[float]:
+    """Each base probability times exp(its shock), over the exact sum of
+    those terms."""
+    try:
+        weighted = [p * math.exp(s) if p > 0 else 0.0 for p, s in zip(base, shocks)]
+        total = math.fsum(weighted)
+    except OverflowError:
+        total = 0.0
+    if total == 0.0:
+        # every weight overflows or underflows: shift the shocks by the
+        # largest one that carries weight
+        top = max(s for p, s in zip(base, shocks) if p > 0)
+        weighted = [p * math.exp(s - top) if p > 0 else 0.0 for p, s in zip(base, shocks)]
+        total = math.fsum(weighted)
+    return [w / total for w in weighted]
 
 
 def rule_to_json(rule: Rule) -> dict:

@@ -559,14 +559,16 @@ class TestCertifyCommand:
     def test_auto_chooses_once_per_menu(self, tmp_path, monkeypatch, utility, capsys):
         import stochoice.rules
 
+        # the corpus pass is the entry point: one call evaluates each
+        # corpus menu exactly once, in corpus order
         calls = []
-        choose = stochoice.rules.Perturbed.choose
+        corpus_pass = stochoice.rules.Perturbed._pass
 
-        def counted(self, menu):
-            calls.append(menu)
-            return choose(self, menu)
+        def counted(self, menus):
+            calls.append(list(menus))
+            return corpus_pass(self, menus)
 
-        monkeypatch.setattr(stochoice.rules.Perturbed, "choose", counted)
+        monkeypatch.setattr(stochoice.rules.Perturbed, "_pass", counted)
         base = {"type": "general_mnl", "utility": utility}
         rule = write(
             tmp_path / "r.json", {"type": "perturbed", "base": base, "delta": 0.05, "seed": 3}
@@ -577,7 +579,7 @@ class TestCertifyCommand:
         assert main(argv) == 0
         cert = json.loads(capsys.readouterr().out)
         assert cert["delta"] <= 0.05 + 1e-9
-        assert calls == generate_corpus(CorpusSpec.from_json(spec))
+        assert calls == [generate_corpus(CorpusSpec.from_json(spec))]
 
 
 class TestDemoProbit:
