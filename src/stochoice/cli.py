@@ -115,23 +115,21 @@ def _load_corpus(path: str) -> list[Menu]:
 
 
 def _load_menus(args) -> list[tuple[str, Menu]]:
-    if getattr(args, "menus", None):
-        paths = sorted(glob.glob(args.menus))
-        if not paths:
-            raise InputError(f"no menu files match {args.menus!r}")
-        return [(Path(p).name, _parse_file(p, "menu", Menu.from_json)) for p in paths]
-    if getattr(args, "corpus", None):
+    if args.menus is None:
         menus = _load_corpus(args.corpus)
         return [(f"menu_{i + 1:04d}", m) for i, m in enumerate(menus)]
-    raise InputError("one of --menus or --corpus is required")
+    paths = sorted(glob.glob(args.menus))
+    if not paths:
+        raise InputError(f"no menu files match {args.menus!r}")
+    return [(Path(p).name, _parse_file(p, "menu", Menu.from_json)) for p in paths]
 
 
 class _Kept(Rule):
     """The rule with kept choices: ``keep`` chooses from the menus it is
     given in one ``choose_corpus`` pass and keeps, by menu identity, each
-    distribution and the error of the menu that failed, which ``choose``
-    raises when asked for that menu.  Any other menu is chosen afresh,
-    or, where ``probes`` is a dict, once per value and kept there.
+    distribution before the first menu that fails.  Any other menu is
+    chosen afresh, or, where ``probes`` is a dict, once per value and
+    kept there; a menu that failed raises its error again.
 
     Kept menus are held here, so no other menu can share an id with one
     while this object lives."""
@@ -142,17 +140,12 @@ class _Kept(Rule):
         self.probes = probes
 
     def keep(self, menus: list[Menu]) -> None:
-        dists, error = choose_corpus(self.rule, menus)
+        dists, _ = choose_corpus(self.rule, menus)
         self.kept.update((id(m), (m, d)) for m, d in zip(menus, dists))
-        if error is not None:
-            failed = menus[len(dists)]
-            self.kept[id(failed)] = (failed, error)
 
     def choose(self, menu: Menu):
         held, dist = self.kept.get(id(menu), (None, None))
         if held is menu:
-            if isinstance(dist, Exception):
-                raise dist
             return dist
         if self.probes is None:
             return self.rule.choose(menu)
@@ -386,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_inputs(p, menus=True):
         p.add_argument("--rule", required=True, help="rule JSON file")
         if menus:
-            p.add_argument("--menus", help="glob of menu JSON files")
-            p.add_argument("--corpus", help="corpus spec JSON file")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--menus", help="glob of menu JSON files")
+            source.add_argument("--corpus", help="corpus spec JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     pilot = sub.add_parser("check", help="run axiom checks over a corpus")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .axioms import effective_neutrality_epsilon, power_diagonal_log
 from .menus import Menu
-from .rules import ChoiceDistribution, Rule, _bounds, _leading, choose_corpus
+from .rules import ChoiceDistribution, Rule, _bounds, choose_corpus
 from .spaces import (
     Outcome,
     Space,
@@ -174,7 +174,7 @@ def _corpus_arrays(rule: Rule, corpus: Sequence[Menu], space: Space):
     (``rules.choose_corpus``).  The first menu off ``space``, with a
     probability that is not positive, or failing to choose, raises as a
     loop over the menus would."""
-    on_space = _leading(corpus, lambda m: m.space == space)
+    on_space = next((i for i, m in enumerate(corpus) if m.space != space), len(corpus))
     dists, error = choose_corpus(rule, corpus[:on_space])
     probs = np.array(list(chain.from_iterable(d.aligned(m) for d, m in zip(dists, corpus))))
     if (probs <= 0.0).any():

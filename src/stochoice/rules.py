@@ -20,7 +20,7 @@ from scipy.special import gammaln, log_ndtr
 
 from .menus import ActionId, Menu, action_str, id_digests, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
-from .spaces import SCALAR, SpaceMismatchError, Utility, json_int, sort_and_cut
+from .spaces import SpaceMismatchError, Utility, json_int, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
@@ -29,8 +29,8 @@ ARGMAX_TIE_TOL = 1e-12
 DIAGONAL_RTOL = 1e-10
 # IARU's absolute tolerance on its summed group masses
 QUAD_TOL = 1e-10
-# what choosing from one menu may raise; a corpus pass defers it to the
-# point where a loop over the menus would have reached that menu
+# what choosing from one menu may raise; a corpus pass that raises one
+# is chosen again menu by menu, which finds the menu that raises it
 _CHOICE_ERRORS = (ArithmeticError, LookupError, RuntimeError, ValueError)
 
 
@@ -90,10 +90,9 @@ class Rule:
 
     The logit family and ``Perturbed`` also define ``_pass(menus)``,
     which ``choose_corpus`` runs on a corpus and their ``choose`` on one
-    menu.  It chooses from the longest prefix of the menus that raises
-    no error in array passes, and returns the probabilities of that
-    prefix, concatenated in entry order as one list, its length, and the
-    error the next menu raises, or None."""
+    menu.  It chooses from every menu in array passes and returns their
+    probabilities, concatenated in entry order as one list; where a menu
+    fails, it raises as ``choose`` raises on that menu."""
 
     def choose(self, menu: Menu) -> ChoiceDistribution:
         raise NotImplementedError
@@ -105,11 +104,6 @@ def _bounds(menus: Sequence[Menu]) -> list[int]:
     return list(accumulate(map(len, menus), initial=0))
 
 
-def _leading(menus: Sequence[Menu], ok) -> int:
-    """The number of leading menus for which ``ok(menu)`` holds."""
-    return next((i for i, m in enumerate(menus) if not ok(m)), len(menus))
-
-
 def choose_corpus(rule: Rule, menus: Sequence[Menu]):
     """``rule.choose`` of each menu, in order, up to the first menu that
     fails, and the error that menu raises, or None.  A caller raises the
@@ -118,54 +112,47 @@ def choose_corpus(rule: Rule, menus: Sequence[Menu]):
     A rule with ``_pass`` (the logit family and ``Perturbed``) takes a
     corpus of two or more menus in one array pass, whose segments equal
     its one-menu ``choose`` bit for bit and are checked as
-    ``ChoiceDistribution`` checks them; one menu, and any other rule,
-    go through ``choose``."""
-    dists = []
-    if len(menus) == 1 or not hasattr(rule, "_pass"):
-        for menu in menus:
-            try:
-                dists.append(rule.choose(menu))
-            except _CHOICE_ERRORS as exc:
-                return dists, exc
-        return dists, None
-    values, k, error = rule._pass(menus)
-    bounds = _bounds(menus[:k])
-    for menu, a, b in zip(menus, bounds, bounds[1:]):
+    ``ChoiceDistribution`` checks them.  One menu, any other rule, and
+    a corpus whose pass raises go through ``choose`` menu by menu."""
+    if len(menus) > 1 and hasattr(rule, "_pass"):
         try:
-            dists.append(ChoiceDistribution(menu, values[a:b]))
-        except ValueError as exc:
+            values = rule._pass(menus)
+            bounds = _bounds(menus)
+            segments = zip(menus, bounds, bounds[1:])
+            return [ChoiceDistribution(m, values[a:b]) for m, a, b in segments], None
+        except _CHOICE_ERRORS:
+            pass  # the loop below finds the first menu that fails
+    dists = []
+    for menu in menus:
+        try:
+            dists.append(rule.choose(menu))
+        except _CHOICE_ERRORS as exc:
             return dists, exc
-    return dists, error
+    return dists, None
 
 
 def _choose_one(self, menu: Menu) -> ChoiceDistribution:
     """``choose`` of a rule with ``_pass``: the pass over one menu."""
-    values, _, error = self._pass([menu])
-    if error is not None:
-        raise error
-    return ChoiceDistribution(menu, values)
+    return ChoiceDistribution(menu, self._pass([menu]))
 
 
-def _logit_pass(menus: Sequence[Menu], us: np.ndarray, named, error):
+def _logit_pass(menus: Sequence[Menu], us: np.ndarray, named) -> list[float]:
     """``_pass`` of logit on the menus' concatenated utilities ``us``.
 
     Each segment is shifted by its largest utility and exponentiated,
     then divided by the sum of its own exps (``np.add.reduceat``, which
     reduces each segment alone, so no other segment affects it).  The
-    first utility that is not finite ends the pass at its menu with an
-    error naming ``named()`` and its action."""
+    first utility that is not finite raises an error naming ``named()``
+    and its action."""
     bounds = _bounds(menus)
     bad = np.flatnonzero(~np.isfinite(us))
     if bad.size:
         k = bisect_right(bounds, bad[0]) - 1
         action = menus[k].ids[bad[0] - bounds[k]]
-        error = ValueError(f"utility {named()} is not finite at action {action}")
-        menus, bounds, us = menus[:k], bounds[: k + 1], us[: bounds[k]]
-    if not menus:
-        return [], 0, error
+        raise ValueError(f"utility {named()} is not finite at action {action}")
     sizes = np.diff(bounds)
     e = np.exp(us - np.maximum.reduceat(us, bounds[:-1]).repeat(sizes))
-    return (e / np.add.reduceat(e, bounds[:-1]).repeat(sizes)).tolist(), len(menus), error
+    return (e / np.add.reduceat(e, bounds[:-1]).repeat(sizes)).tolist()
 
 
 @dataclass(frozen=True)
@@ -185,17 +172,12 @@ class MNL(Rule):
 
     choose = _choose_one
 
-    def _pass(self, menus: Sequence[Menu]):
-        k = _leading(menus, lambda m: m.space.kind == SCALAR)
-        error = SpaceMismatchError() if k < len(menus) else None
-        menus = menus[:k]
-        if not menus:
-            return [], 0, error
+    def _pass(self, menus: Sequence[Menu]) -> list[float]:
         vals = np.concatenate([m.values for m in menus])
         if not math.isinf(self.beta):
             with np.errstate(over="ignore", invalid="ignore"):
                 us = self.beta * vals
-            return _logit_pass(menus, us, lambda: {"beta": self.beta}, error)
+            return _logit_pass(menus, us, lambda: {"beta": self.beta})
         # each menu's actions within ARGMAX_TIE_TOL of its best, or equal
         # to it where all its outcomes are integers
         bounds = _bounds(menus)
@@ -206,7 +188,7 @@ class MNL(Rule):
         near = np.abs(vals - target) <= ARGMAX_TIE_TOL * np.maximum(1.0, np.abs(target))
         hit = np.where(integral, vals == target, near)
         counts = np.add.reduceat(hit, starts, dtype=np.int64).repeat(sizes)
-        return (hit / counts).tolist(), k, error
+        return (hit / counts).tolist()
 
 
 @dataclass(frozen=True)
@@ -217,16 +199,12 @@ class GeneralMNL(Rule):
 
     choose = _choose_one
 
-    def _pass(self, menus: Sequence[Menu]):
-        space = self.utility.space
-        k = _leading(menus, lambda m: m.space == space)
-        error = SpaceMismatchError() if k < len(menus) else None
-        menus = menus[:k]
-        if not menus:
-            return [], 0, error
+    def _pass(self, menus: Sequence[Menu]) -> list[float]:
+        if any(m.space != self.utility.space for m in menus):
+            raise SpaceMismatchError()
         with np.errstate(over="ignore", invalid="ignore"):
             us = np.concatenate([m.phi for m in menus]) @ np.array(self.utility.coeffs)
-        return _logit_pass(menus, us, self.utility._named, error)
+        return _logit_pass(menus, us, self.utility._named)
 
 
 @dataclass(frozen=True)
@@ -515,6 +493,7 @@ class Perturbed(Rule):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
+        object.__setattr__(self, "seed", json_int(self.seed, "seed"))
 
     def shock(self, menu: Menu, a: ActionId) -> float:
         return self._shocks(menu, (action_str(a),))[0]
@@ -536,18 +515,17 @@ class Perturbed(Rule):
 
     choose = _choose_one
 
-    def _pass(self, menus: Sequence[Menu]):
+    def _pass(self, menus: Sequence[Menu]) -> list[float]:
         dists, error = choose_corpus(self.base, menus)
-        menus = menus[: len(dists)]
-        if not menus:
-            return [], 0, error
+        if error is not None:
+            raise error
         bounds = _bounds(menus)
         digests = np.concatenate([m.id_digests for m in menus])
         shocks = self._shock_array(menus, digests, np.diff(bounds)).tolist()
         values = []
         for d, m, a, b in zip(dists, menus, bounds, bounds[1:]):
             values += _perturb(d.aligned(m), shocks[a:b])
-        return values, len(menus), error
+        return values
 
 
 def _perturb(base: list[float], shocks: list[float]) -> list[float]:
@@ -614,6 +592,5 @@ def rule_from_json(data: dict) -> Rule:
     if kind == "uniform":
         return Uniform()
     if kind == "perturbed":
-        seed = json_int(data["seed"], "seed")
-        return Perturbed(rule_from_json(data["base"]), float(data["delta"]), seed)
+        return Perturbed(rule_from_json(data["base"]), float(data["delta"]), data["seed"])
     raise ValueError(f"unknown rule type: {kind!r}")

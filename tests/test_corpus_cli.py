@@ -21,6 +21,7 @@ from stochoice import (
     power,
     rule_from_json,
     sample_pairs,
+    scalar_menu,
     unit_binary_menu,
 )
 from stochoice.cli import main
@@ -1033,6 +1034,85 @@ class TestExitCodes:
         argv = ["check", "--rule", inputs["mnl"], "--menus", inputs["three"], "--tol", tol]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: --tol must be finite and >= 0\n"
+
+
+class TestInputFlags:
+    """Each menu command reads exactly one of --menus and --corpus; any
+    other use is an argparse usage error, which exits 2."""
+
+    @pytest.mark.parametrize("command", ["check", "certify", "upsilon"])
+    def test_both_flags_exit_2(self, command, tmp_path, mnl_rule_file, capsys):
+        write(tmp_path / "m0.json", {"space": {"kind": "real_scalar"},
+                                     "actions": [{"id": "a", "outcome": 0.0}]})
+        argv = [command, "--rule", mnl_rule_file, "--menus", str(tmp_path / "m*.json"),
+                "--corpus", str(tmp_path / "nonexistent.json")]
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --corpus: not allowed with argument --menus" in err
+
+    @pytest.mark.parametrize("command", ["check", "certify", "upsilon"])
+    def test_neither_flag_exits_2(self, command, mnl_rule_file, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--rule", mnl_rule_file])
+        assert done.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "one of the arguments --menus --corpus is required" in err
+
+
+class TestFailingPass:
+    """A corpus or product pass that fails partway exits 2 with the error
+    of the first menu that fails, as choosing menu by menu raised it, and
+    prints no report."""
+
+    @staticmethod
+    def rules(tmp_path, beta):
+        mnl = {"type": "mnl", "beta": beta}
+        return {
+            "mnl": write(tmp_path / "mnl.json", mnl),
+            "perturbed": write(tmp_path / "perturbed.json",
+                               {"type": "perturbed", "base": mnl, "delta": 0.05, "seed": 1}),
+        }
+
+    @staticmethod
+    def menus(tmp_path, *outcomes):
+        (tmp_path / "menus").mkdir()
+        for i, values in enumerate(outcomes):
+            actions = [{"id": f"a{j}", "outcome": v} for j, v in enumerate(values)]
+            write(tmp_path / "menus" / f"m{i}.json",
+                  {"space": {"kind": "real_scalar"}, "actions": actions})
+        return str(tmp_path / "menus" / "*.json")
+
+    @pytest.mark.parametrize("rule", ["mnl", "perturbed"])
+    def test_overflow_mid_corpus(self, rule, tmp_path, capsys):
+        menus = self.menus(tmp_path, [0.0, 1e-306], [0.0, 200.0, 20.0], [0.0, 1e-306])
+        argv = ["check", "--rule", self.rules(tmp_path, 1e306)[rule], "--menus", menus, "--json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: utility {'beta': 1e+306} is not finite at action a1\n"
+
+    @pytest.mark.parametrize("rule", ["mnl", "perturbed"])
+    def test_overflow_mid_products(self, rule, tmp_path, capsys):
+        # each corpus menu is chosen without error; of the 4 sampled
+        # pairs only the third, m1 x m1, holds an outcome 2 whose utility
+        # 2e308 overflows
+        outcomes = ([0.0, 0.1], [0.0, 1.0], [0.0, 0.2])
+        menus = self.menus(tmp_path, *outcomes)
+        corpus = [scalar_menu({"a0": 0.0, "a1": v}) for _, v in outcomes]
+        assert [(corpus.index(m1), corpus.index(m2)) for m1, m2 in sample_pairs(corpus, 4, 5)] == [
+            (0, 1), (2, 2), (1, 1), (0, 2)
+        ]
+        argv = ["check", "--rule", self.rules(tmp_path, 1e308)[rule], "--menus", menus,
+                "--axioms", "neutrality,positivity,decomposability", "--pairs", "4", "--seed", "5",
+                "--json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: utility {'beta': 1e+308} is not finite at action (a1,a1)\n"
 
 
 PROBIT_RULE = {"type": "iaru", "shock": {"kind": "gaussian", "param": 1.0}}

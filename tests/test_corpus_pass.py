@@ -215,6 +215,37 @@ class TestErrorsArriveInMenuOrder:
         with pytest.raises(ValueError, match="^utility .* is not finite at action a1$"):
             certify_closeness(rule, corpus)
 
+    @pytest.mark.parametrize("at", [0, 3], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            MNL(1e306),
+            GeneralMNL(Utility(Space.scalar(), (1e306,))),
+            Perturbed(MNL(1e306), 0.05, 1),
+        ],
+        ids=["mnl", "general_mnl", "perturbed"],
+    )
+    def test_utility_overflow_at_either_end(self, rule, at):
+        corpus = self.corpus([0.0, 1e-306], [5e-307, 2.5e-307], [1e-306, 0.0], [0.0, 1e-306])
+        corpus[at] = self.corpus([0.0, 200.0, 20.0])[0]
+        dists, error = choose_corpus(rule, corpus)
+        assert hexes(dists) == hexes([rule.choose(m) for m in corpus[:at]])
+        with pytest.raises(ValueError) as alone:
+            rule.choose(corpus[at])
+        assert type(error) is ValueError and str(error) == str(alone.value)
+        assert str(error).endswith(" is not finite at action a1")
+
+    @pytest.mark.parametrize("at", [0, 2], ids=["first", "last"])
+    def test_off_space_menu_at_either_end(self, at):
+        vector = Space.vector(2)
+        corpus = self.corpus([0.0, 1.0], [2.0, 0.5, 1.0], [1.0, 0.0])
+        corpus[at] = Menu(vector, (("v0", Outcome(vector, (0.0, 1.0))),))
+        scalar = Utility(Space.scalar(), (1.0,))
+        for rule in (MNL(1.0), GeneralMNL(scalar), Perturbed(MNL(1.0), 0.1, 3)):
+            dists, error = choose_corpus(rule, corpus)
+            assert hexes(dists) == hexes([rule.choose(m) for m in corpus[:at]])
+            assert isinstance(error, SpaceMismatchError)
+
     def test_mixed_space_corpus(self):
         vector = Space.vector(2)
         plain = self.corpus([0.0, 1.0], [2.0, 0.5, 1.0])

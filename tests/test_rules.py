@@ -406,6 +406,18 @@ class TestPerturbed:
         for a in menu.actions:
             assert dist[a] == pytest.approx(base[a], abs=1e-15)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            Perturbed(MNL(1.0), 0.1, seed)
+
+    def test_integral_float_seed_is_an_int(self):
+        rule = Perturbed(MNL(1.0), 0.1, 3.0)
+        assert type(rule.seed) is int and rule == Perturbed(MNL(1.0), 0.1, 3)
+        data = rule_to_json(rule)
+        assert type(data["seed"]) is int and data["seed"] == 3
+        assert rule_from_json(data) == rule
+
     def test_zero_probabilities_preserved(self):
         menu = scalar_menu({"a": 0.0, "b": 1.0})
         dist = Perturbed(MNL(math.inf), 0.1, 3).choose(menu)
