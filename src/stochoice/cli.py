@@ -11,18 +11,18 @@ numerical failure (a ``RuntimeError`` such as ``QuadratureError``, or an
 from __future__ import annotations
 
 import argparse
+import copy
 import glob
 import json
 import math
 import sys
-from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import axioms
 from .corpus import CorpusSpec, generate_corpus, sample_pairs
 from .extract import certify_closeness, fit_utility_representation, upsilon
-from .menus import MENU_SIZE_GUARD, Menu, product, unit_binary_menu
+from .menus import Menu, product, unit_binary_menu
 from .rules import Rule, choose_corpus, rule_from_json
 from .spaces import Space, Utility
 
@@ -125,23 +125,20 @@ def _load_menus(args) -> list[tuple[str, Menu]]:
 
 
 class _Kept(Rule):
-    """The rule with kept choices: ``keep`` chooses from the menus it is
-    given in one ``choose_corpus`` pass and keeps, by menu identity, each
-    distribution before the first menu that fails.  Any other menu is
-    chosen afresh, or, where ``probes`` is a dict, once per value and
+    """The rule with kept choices: it chooses ``menus`` in one
+    ``choose_corpus`` pass when it is built and keeps, by menu identity,
+    each distribution before the first menu that fails.  Any other menu
+    is chosen afresh, or, where ``probes`` is a dict, once per value and
     kept there; a menu that failed raises its error again.
 
     Kept menus are held here, so no other menu can share an id with one
     while this object lives."""
 
-    def __init__(self, rule: Rule, kept: dict | None = None, probes: dict | None = None) -> None:
+    def __init__(self, rule: Rule, menus: list[Menu]) -> None:
         self.rule = rule
-        self.kept = {} if kept is None else kept
-        self.probes = probes
-
-    def keep(self, menus: list[Menu]) -> None:
-        dists, _ = choose_corpus(self.rule, menus)
-        self.kept.update((id(m), (m, d)) for m, d in zip(menus, dists))
+        dists, _ = choose_corpus(rule, menus)
+        self.kept = {id(m): (m, d) for m, d in zip(menus, dists)}
+        self.probes = None
 
     def choose(self, menu: Menu):
         held, dist = self.kept.get(id(menu), (None, None))
@@ -154,31 +151,15 @@ class _Kept(Rule):
         return self.probes[menu]
 
 
-def _products(sampled) -> list[Menu]:
-    """product(m1, m2) of each sampled pair, up to the first pair that
-    ``decomposability_epsilon`` refuses or whose product fails: that
-    pair's check builds it again and raises the error in its place."""
-    joints = []
-    for m1, m2 in sampled:
-        if m1.space != m2.space or len(m1) * len(m2) > MENU_SIZE_GUARD:
-            break
-        try:
-            joints.append(product(m1, m2))
-        except (ArithmeticError, ValueError):
-            break
-    return joints
-
-
 def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
     """Per requested axiom, the corpus report merged by
     ``axioms.merge_reports`` and the list of every per-instance witness.
-    The corpus menus, and then the sampled products, are each chosen
-    from in one pass, and each identity probe once; continuity's moved
-    menus are chosen afresh."""
-    menus = [m for _, m in labeled_menus]
-    rule = _Kept(rule)
-    rule.keep(menus)
-    probing = _Kept(rule.rule, rule.kept, probes={})
+    The corpus menus are chosen from in one pass and each identity probe
+    once; each sampled product, and continuity's moved menus, are built
+    and chosen afresh."""
+    rule = _Kept(rule, [m for _, m in labeled_menus])
+    probing = copy.copy(rule)
+    probing.probes = {}
     per_menu = {
         "neutrality": lambda m, mid: axioms.neutrality_epsilon(rule, m, tol=tol, menu_id=mid),
         "positivity": lambda m, mid: axioms.positivity_check(rule, m, menu_id=mid),
@@ -192,12 +173,9 @@ def _run_checks(rule, labeled_menus, which, tol, pairs, seed):
         if name not in which:
             continue
         if name == "decomposability":
-            sampled = sample_pairs(menus, pairs, seed)
-            joints = _products(sampled)
-            rule.keep(joints)
             per_instance = [
-                axioms.decomposability_epsilon(rule, m1, m2, tol=tol, joint=joint)
-                for (m1, m2), joint in zip_longest(sampled, joints)
+                axioms.decomposability_epsilon(rule, m1, m2, tol=tol, menu_id=f"({id1},{id2})")
+                for (id1, m1), (id2, m2) in sample_pairs(labeled_menus, pairs, seed)
             ]
         else:
             per_instance = [per_menu[name](m, mid) for mid, m in labeled_menus]
@@ -348,9 +326,12 @@ def cmd_gen(args) -> int:
 def cmd_upsilon(args) -> int:
     rule = _load_rule(args.rule)
     labeled = _load_menus(args)
+    eps = args.eps_decomp
+    if eps is not None and not (math.isfinite(eps) and eps >= 0.0):
+        raise InputError("--eps-decomp must be finite and >= 0")
     rows = []
     for mid, menu in labeled:
-        est = upsilon(rule, menu, args.n_max, eps_decomp=args.eps_decomp)
+        est = upsilon(rule, menu, args.n_max, eps_decomp=eps)
         rows.append(
             {
                 "menu_id": mid,

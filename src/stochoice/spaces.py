@@ -728,11 +728,27 @@ def outcome_to_json(x: Outcome):
 
 def outcome_from_json(space: Space, data) -> Outcome:
     kind = space.kind
+    if kind == PRIZE_STREAM:
+        return Outcome(space, data)
     if kind == MEAN_STDDEV:
-        return Outcome(space, (data["m"], data["sigma"]))
-    if kind == DISTRIBUTION:
-        return Outcome(space, tuple(zip(data["support"], data["probs"])))
-    return Outcome(space, data)
+        data = (data["m"], data["sigma"])
+    elif kind == DISTRIBUTION:
+        support, probs = data["support"], data["probs"]
+        if len(support) != len(probs):
+            raise ValueError(f"lottery has {len(support)} support points but {len(probs)} probs")
+        data = tuple(zip(support, probs))
+    return Outcome(space, _json_numbers(data))
+
+
+def _json_numbers(data):
+    """``data``, a JSON number or nested lists of them, as read.  A bool or
+    a string such as "1.5", which float() would read, raises ValueError."""
+    if type(data) is list or type(data) is tuple:
+        for x in data:
+            _json_numbers(x)
+    elif type(data) is not float and type(data) is not int:
+        raise ValueError(f"an outcome number must be a JSON number, got {data!r}")
+    return data
 
 
 # a number's canonical text: 12 significant digits

@@ -1063,6 +1063,99 @@ class TestInputFlags:
         assert "one of the arguments --menus --corpus is required" in err
 
 
+class TestMenuFileOutcomes:
+    """A menu file's outcomes are read exactly or refused with exit 2: a
+    lottery's support and probs have equal lengths, and an outcome number
+    is a JSON number, never a bool or a numeric string."""
+
+    LOTTERY = {"kind": "discrete_distribution", "moment_order": 2}
+    CASES = {
+        "support_longer": (
+            LOTTERY, {"support": [0, 1, 2], "probs": [0.5, 0.5]},
+            "lottery has 3 support points but 2 probs",
+        ),
+        "probs_longer": (
+            LOTTERY, {"support": [0], "probs": [0.5, 0.5]},
+            "lottery has 1 support points but 2 probs",
+        ),
+        "support_string": (
+            LOTTERY, {"support": ["1.5", 0], "probs": [0.5, 0.5]},
+            "an outcome number must be a JSON number, got '1.5'",
+        ),
+        "probs_bool": (
+            LOTTERY, {"support": [0], "probs": [True]},
+            "an outcome number must be a JSON number, got True",
+        ),
+        "scalar_bool": (
+            {"kind": "real_scalar"}, False, "an outcome number must be a JSON number, got False",
+        ),
+        "scalar_string": (
+            {"kind": "real_scalar"}, "1.5", "an outcome number must be a JSON number, got '1.5'",
+        ),
+        "vector_string": (
+            {"kind": "real_vector", "d": 2}, [0.5, "2"],
+            "an outcome number must be a JSON number, got '2'",
+        ),
+        "sigma_bool": (
+            {"kind": "mean_stddev"}, {"m": 0.0, "sigma": True},
+            "an outcome number must be a JSON number, got True",
+        ),
+        "matrix_string": (
+            {"kind": "matrix", "d": 2}, [[1, 0], [0, "1e0"]],
+            "an outcome number must be a JSON number, got '1e0'",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["check", "certify", "upsilon"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_with_exit_2(self, case, command, tmp_path, capsys):
+        space, outcome, message = self.CASES[case]
+        menu = write(tmp_path / "menu.json",
+                     {"space": space, "actions": [{"id": "a", "outcome": outcome}]})
+        rule = write(tmp_path / "rule.json", {"type": "uniform"})
+        assert main([command, "--rule", rule, "--menus", menu]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: invalid menu file {menu}: {message}\n"
+
+    def test_numbers_and_prize_labels_are_read(self, tmp_path, capsys):
+        menus = {
+            "lottery": (self.LOTTERY, [{"support": [2, 0.5], "probs": [0.25, 0.75]},
+                                       {"support": [1], "probs": [1]}]),
+            "vector": ({"kind": "real_vector", "d": 2}, [[1, -0.5], [0, 2]]),
+            "prizes": ({"kind": "prize_stream", "alphabet": ["1", "true"]}, [["1"], ["true", "1"]]),
+        }
+        rule = write(tmp_path / "rule.json", {"type": "uniform"})
+        for name, (space, outcomes) in menus.items():
+            actions = [{"id": f"a{i}", "outcome": o} for i, o in enumerate(outcomes)]
+            menu = write(tmp_path / f"{name}.json", {"space": space, "actions": actions})
+            assert main(["upsilon", "--rule", rule, "--menus", menu, "--json"]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert rows[0]["distribution"] == {"a0": 0.5, "a1": 0.5}
+
+
+class TestEpsDecomp:
+    """``upsilon --eps-decomp`` is finite and >= 0, so ``--json`` never
+    writes a bound that is not JSON."""
+
+    @staticmethod
+    def upsilon(tmp_path, eps):
+        menu = write(tmp_path / "menu.json", {"space": {"kind": "real_scalar"},
+                                              "actions": [{"id": "a", "outcome": 0.0}]})
+        rule = write(tmp_path / "rule.json", {"type": "mnl", "beta": 1.0})
+        return main(["upsilon", "--rule", rule, "--menus", menu, f"--eps-decomp={eps}", "--json"])
+
+    @pytest.mark.parametrize("eps", ["inf", "-inf", "nan", "-2"])
+    def test_refused_with_exit_2(self, eps, tmp_path, capsys):
+        assert self.upsilon(tmp_path, eps) == 2
+        assert capsys.readouterr() == ("", "error: --eps-decomp must be finite and >= 0\n")
+
+    def test_zero_gives_a_json_bound(self, tmp_path, capsys):
+        assert self.upsilon(tmp_path, "0") == 0
+        out = capsys.readouterr().out
+        assert json.loads(out, parse_constant=pytest.fail)[0]["bound"] == 0.0
+
+
 class TestFailingPass:
     """A corpus or product pass that fails partway exits 2 with the error
     of the first menu that fails, as choosing menu by menu raised it, and
@@ -1189,9 +1282,12 @@ class TestCheckSharesChoices:
         rows = []
         for name in which:
             if name == "decomposability":
+                labeled = list(zip(ids, menus))
                 reports = [
-                    axioms.decomposability_epsilon(rule, m1, m2, tol=self.TOL)
-                    for m1, m2 in sample_pairs(menus, self.PAIRS, self.SEED)
+                    axioms.decomposability_epsilon(
+                        rule, m1, m2, tol=self.TOL, menu_id=f"({id1},{id2})"
+                    )
+                    for (id1, m1), (id2, m2) in sample_pairs(labeled, self.PAIRS, self.SEED)
                 ]
             else:
                 reports = [per_menu[name](m, mid) for m, mid in zip(menus, ids)]

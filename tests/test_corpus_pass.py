@@ -5,10 +5,13 @@ errors arrive as a loop over the menus raised them."""
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import stochoice.axioms
+import stochoice.cli
 import stochoice.rules
 from stochoice import (
     IARU,
@@ -307,7 +310,9 @@ def test_other_rules_choose_menu_by_menu(rule, monkeypatch):
     assert hexes(dists) == hexes([perturbed.choose(m) for m in corpus])
 
 
-def test_check_chooses_the_corpus_and_then_the_products_in_one_pass_each(tmp_path, monkeypatch):
+def lottery_check(tmp_path):
+    """The argv of a lottery-corpus ``check`` of 9 sampled pairs, and its
+    corpus."""
     space = {"kind": "discrete_distribution", "moment_order": 3}
     spec = {"space": space, "menu_count": 25, "seed": 6}
     rule = {
@@ -318,6 +323,14 @@ def test_check_chooses_the_corpus_and_then_the_products_in_one_pass_each(tmp_pat
     }
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     (tmp_path / "rule.json").write_text(json.dumps(rule), encoding="utf-8")
+    argv = ["check", "--rule", str(tmp_path / "rule.json"), "--corpus", str(tmp_path / "spec.json"),
+            "--axioms", "neutrality,positivity,decomposability", "--pairs", "9", "--seed", "2",
+            "--json"]
+    return argv, generate_corpus(CorpusSpec.from_json(spec))
+
+
+def test_check_chooses_the_corpus_in_one_pass_and_then_each_product_alone(tmp_path, monkeypatch):
+    argv, corpus = lottery_check(tmp_path)
     passes = []
     corpus_pass = stochoice.rules.Perturbed._pass
 
@@ -326,13 +339,25 @@ def test_check_chooses_the_corpus_and_then_the_products_in_one_pass_each(tmp_pat
         return corpus_pass(self, menus)
 
     monkeypatch.setattr(stochoice.rules.Perturbed, "_pass", recorded)
-    argv = ["check", "--rule", str(tmp_path / "rule.json"), "--corpus", str(tmp_path / "spec.json"),
-            "--axioms", "neutrality,positivity,decomposability", "--pairs", "9", "--seed", "2",
-            "--json"]
     assert main(argv) == 1
-    corpus = generate_corpus(CorpusSpec.from_json(spec))
     products = [product(m1, m2) for m1, m2 in sample_pairs(corpus, 9, 2)]
-    assert passes == [corpus, products]
+    assert passes == [corpus, *[[p] for p in products]]
+
+
+def test_check_frees_each_product_before_it_builds_the_next(tmp_path, monkeypatch):
+    argv, _ = lottery_check(tmp_path)
+    built, alive = [], []
+
+    def tracked(m1, m2):
+        alive.append(sum(ref() is not None for ref in built))
+        joint = product(m1, m2)
+        built.append(weakref.ref(joint))
+        return joint
+
+    monkeypatch.setattr(stochoice.cli, "product", tracked)
+    monkeypatch.setattr(stochoice.axioms, "product", tracked)
+    assert main(argv) == 1
+    assert alive == [0] * 9
 
 
 def test_corpus_menus_share_their_id_digests(monkeypatch):
