@@ -287,7 +287,7 @@ def cmd_demo_probit(args) -> int:
     """The decomposability counterexample: a random-utility rule with
     Gaussian shocks overweights the top action on the squared menu."""
     kind, _, param = args.shock.partition(":")
-    rule = rule_from_json({"type": "iaru", "shock": {"kind": kind, "param": param or 1.0}})
+    rule = rule_from_json({"type": "iaru", "shock": {"kind": kind, "param": float(param or 1.0)}})
     unit = unit_binary_menu()
     square = product(unit, unit)
     p_top = rule.choose(unit)["b1"]

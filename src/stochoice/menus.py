@@ -64,9 +64,45 @@ def action_str(a: ActionId) -> str:
 
 
 def action_from_str(s: str) -> ActionId:
-    """Inverse of ``action_str``, read in one pass with a stack of open
-    pairs; any string that ``action_str`` does not produce raises
-    ValueError."""
+    """Inverse of ``action_str``: the one-id case of ``_read_ids``.  Any
+    string that ``action_str`` does not produce raises ValueError."""
+    return next(_read_ids((s,)))
+
+
+def _read_ids(texts):
+    """Yield each text's action id, reading each distinct left part once.
+
+    A text "(L,a)" whose right part a is an atom is (L's id, a), where
+    L's id is looked up in a memo that lives only for this call, or read
+    and added to it.  "(L,a)" is well formed exactly when L is, so this
+    gives the stack parser's id or its error, which names the whole
+    text.  Any other text goes to the stack parser."""
+    memo = {}  # each left part's id, by its text
+    for s in texts:
+        levels = []  # (L, a) of each "(L,a)" level peeled off s, outermost first
+        head = s
+        while type(head) is str:
+            k = head.rfind(",")
+            a = head[k + 1 : -1]
+            if k < 0 or head[0] != "(" or head[-1] != ")" or not _RESERVED.isdisjoint(a):
+                break
+            head = head[1:k]
+            levels.append((head, a))
+            if head in memo:
+                break
+        done = memo.get(head) if levels else None
+        if done is None:
+            done = _parse_id(head, s)
+        for left, a in reversed(levels):
+            memo[left] = done
+            done = (done, a)
+        yield done
+
+
+def _parse_id(s: str, whole: str) -> ActionId:
+    """The id ``s``, read in one pass with a stack of open pairs; a
+    malformed ``s`` raises ValueError naming ``whole``, the text that
+    holds it."""
     lefts = []  # per open pair, _OPEN until its comma, then its left id
     done = None  # the id just read, or None where an id is expected
     for tok in _ACTION_TOKENS.findall(s):
@@ -84,7 +120,7 @@ def action_from_str(s: str) -> ActionId:
     else:
         if not lefts:
             return "" if done is None else done
-    raise ValueError(f"malformed action id: {s!r}")
+    raise ValueError(f"malformed action id: {whole!r}")
 
 
 def id_digests(ids) -> np.ndarray:
@@ -264,12 +300,12 @@ class Menu:
     def from_json(data: dict) -> "Menu":
         space = Space.from_json(data["space"])
         ids = tuple(item["id"] for item in data["actions"])
-        # action_from_str reads only what action_str writes, so its atoms
-        # are valid, each string read is its action's id, and distinct
-        # strings are distinct actions
+        # _read_ids reads only what action_str writes, so its atoms are
+        # valid, each string read is its action's id, and distinct strings
+        # are distinct actions
         entries = tuple(
-            (action_from_str(s), outcome_from_json(space, item["outcome"]))
-            for s, item in zip(ids, data["actions"])
+            (a, outcome_from_json(space, item["outcome"]))
+            for a, item in zip(_read_ids(ids), data["actions"])
         )
         if not entries:
             raise ValueError("menu needs at least one action")

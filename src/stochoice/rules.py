@@ -20,7 +20,7 @@ from scipy.special import gammaln, log_ndtr
 
 from .menus import ActionId, Menu, action_str, id_digests, menu_hash
 from .quadrature import QuadratureError, adaptive_simpson
-from .spaces import SpaceMismatchError, Utility, json_int, sort_and_cut
+from .spaces import SpaceMismatchError, Utility, _json_numbers, json_int, sort_and_cut
 
 # renormalization guard: a larger residual signals quadrature failure
 NORMALIZATION_GUARD = 1e-8
@@ -579,18 +579,19 @@ def rule_from_json(data: dict) -> Rule:
             return MNL(math.inf)
         if beta == "-inf":
             return MNL(-math.inf)
-        return MNL(float(beta))
+        return MNL(float(_json_numbers(beta, "beta")))
     if kind == "general_mnl":
         return GeneralMNL(Utility.from_json(data["utility"]))
     if kind == "iaru":
         shock = data["shock"]
         if shock["kind"] == "gaussian":
-            return IARU(GaussianShock(float(shock["param"])))
+            return IARU(GaussianShock(float(_json_numbers(shock["param"], "shock param"))))
         if shock["kind"] == "gumbel":
-            return IARU(GumbelShock(float(shock["param"])))
+            return IARU(GumbelShock(float(_json_numbers(shock["param"], "shock param"))))
         raise ValueError(f"unknown shock kind: {shock['kind']!r}")
     if kind == "uniform":
         return Uniform()
     if kind == "perturbed":
-        return Perturbed(rule_from_json(data["base"]), float(data["delta"]), data["seed"])
+        base = rule_from_json(data["base"])
+        return Perturbed(base, float(_json_numbers(data["delta"], "delta")), data["seed"])
     raise ValueError(f"unknown rule type: {kind!r}")

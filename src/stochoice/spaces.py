@@ -489,14 +489,16 @@ class Utility:
         space = Space.from_json(data["space"])
         kind = space.kind
         if kind in (SCALAR, MATRIX):
-            return Utility(space, (data["beta"],))
-        if kind == VECTOR:
-            return Utility(space, tuple(data["weights"]))
-        if kind == MEAN_STDDEV:
-            return Utility(space, (data["gamma1"], data["gamma2"]))
-        if kind == DISTRIBUTION:
-            return Utility(space, tuple(data["gammas"]))
-        return Utility.prize_values(space, data["weights"])
+            coeffs = (data["beta"],)
+        elif kind == VECTOR:
+            coeffs = tuple(data["weights"])
+        elif kind == MEAN_STDDEV:
+            coeffs = (data["gamma1"], data["gamma2"])
+        elif kind == DISTRIBUTION:
+            coeffs = tuple(data["gammas"])
+        else:
+            coeffs = tuple(data["weights"][p] for p in space.alphabet)
+        return Utility(space, _json_numbers(coeffs, "a utility coefficient"))
 
 
 def features(x: Outcome) -> tuple[float, ...]:
@@ -729,6 +731,8 @@ def outcome_to_json(x: Outcome):
 def outcome_from_json(space: Space, data) -> Outcome:
     kind = space.kind
     if kind == PRIZE_STREAM:
+        if type(data) is not list or not all(type(p) is str for p in data):
+            raise ValueError(f"a prize stream must be a JSON list of prize labels, got {data!r}")
         return Outcome(space, data)
     if kind == MEAN_STDDEV:
         data = (data["m"], data["sigma"])
@@ -740,14 +744,15 @@ def outcome_from_json(space: Space, data) -> Outcome:
     return Outcome(space, _json_numbers(data))
 
 
-def _json_numbers(data):
+def _json_numbers(data, name: str = "an outcome number"):
     """``data``, a JSON number or nested lists of them, as read.  A bool or
-    a string such as "1.5", which float() would read, raises ValueError."""
+    a string such as "1.5", which float() would read, raises ValueError
+    naming ``name``."""
     if type(data) is list or type(data) is tuple:
         for x in data:
-            _json_numbers(x)
+            _json_numbers(x, name)
     elif type(data) is not float and type(data) is not int:
-        raise ValueError(f"an outcome number must be a JSON number, got {data!r}")
+        raise ValueError(f"{name} must be a JSON number, got {data!r}")
     return data
 
 

@@ -821,6 +821,25 @@ class TestExitCodes:
             ),
             "ten": write(tmp_path / "ten.json", scalars(0.0, 10.0)),
             "mnl_nan": write(tmp_path / "mnl_nan.json", {"type": "mnl", "beta": math.nan}),
+            "mnl_beta_bool": write(tmp_path / "mnl_beta_bool.json", {"type": "mnl", "beta": True}),
+            "mnl_beta_string": write(
+                tmp_path / "mnl_beta_string.json", {"type": "mnl", "beta": "1.5"}
+            ),
+            "perturbed_delta_string": write(
+                tmp_path / "perturbed_delta_string.json",
+                {"type": "perturbed", "base": {"type": "uniform"}, "delta": "0.1", "seed": 1},
+            ),
+            "gumbel_param_bool": write(
+                tmp_path / "gumbel_param_bool.json",
+                {"type": "iaru", "shock": {"kind": "gumbel", "param": True}},
+            ),
+            "utility_beta_string": write(
+                tmp_path / "utility_beta_string.json", {"space": scalar_space, "beta": "1.5"}
+            ),
+            "utility_gammas_bool": write(
+                tmp_path / "utility_gammas_bool.json",
+                {"space": lottery_space, "gammas": [1.0, False]},
+            ),
             "out": str(tmp_path / "out"),
         }
 
@@ -925,6 +944,10 @@ class TestExitCodes:
             "certify", "--rule", "mnl", "--menus", "three", "--utility", "utility_nan",
         ],
         "check_mnl_beta_nan": ["check", "--rule", "mnl_nan", "--menus", "three"],
+        "check_mnl_beta_is_a_bool": ["check", "--rule", "mnl_beta_bool", "--menus", "three"],
+        "certify_utility_beta_is_a_string": [
+            "certify", "--rule", "mnl", "--menus", "three", "--utility", "utility_beta_string",
+        ],
         "check_axioms_empty": ["check", "--rule", "mnl", "--menus", "three", "--axioms", ""],
         "check_axioms_only_commas": [
             "check", "--rule", "mnl", "--menus", "three", "--axioms", ",",
@@ -964,6 +987,30 @@ class TestExitCodes:
         assert main(["check", "--rule", inputs["uniform"], "--corpus", inputs[spec]]) == 2
         message = f"invalid corpus spec file {inputs[spec]}: {self.SPEC_MESSAGES[spec]}"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # a rule or utility number is a JSON number, never a bool or a string
+    NUMBER_MESSAGES = {
+        "mnl_beta_bool": ("rule", "beta must be a JSON number, got True"),
+        "mnl_beta_string": ("rule", "beta must be a JSON number, got '1.5'"),
+        "perturbed_delta_string": ("rule", "delta must be a JSON number, got '0.1'"),
+        "gumbel_param_bool": ("rule", "shock param must be a JSON number, got True"),
+        "utility_beta_string": (
+            "utility", "a utility coefficient must be a JSON number, got '1.5'",
+        ),
+        "utility_gammas_bool": (
+            "utility", "a utility coefficient must be a JSON number, got False",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NUMBER_MESSAGES))
+    def test_number_error_is_named(self, name, inputs, capsys):
+        what, message = self.NUMBER_MESSAGES[name]
+        if what == "rule":
+            argv = ["check", "--rule", inputs[name]]
+        else:
+            argv = ["certify", "--rule", inputs["uniform"], "--utility", inputs[name]]
+        assert main([*argv, "--menus", inputs["three"]]) == 2
+        assert capsys.readouterr().err == f"error: invalid {what} file {inputs[name]}: {message}\n"
 
     @pytest.mark.parametrize("case", sorted(CAPPED_CASES))
     def test_numerical_failure_exits_2_within_the_cap(self, case, inputs):
@@ -1104,6 +1151,14 @@ class TestMenuFileOutcomes:
             {"kind": "matrix", "d": 2}, [[1, 0], [0, "1e0"]],
             "an outcome number must be a JSON number, got '1e0'",
         ),
+        "stream_string": (
+            {"kind": "prize_stream", "alphabet": ["a", "b"]}, "ab",
+            "a prize stream must be a JSON list of prize labels, got 'ab'",
+        ),
+        "stream_number_label": (
+            {"kind": "prize_stream", "alphabet": ["a", "1"]}, ["a", 1],
+            "a prize stream must be a JSON list of prize labels, got ['a', 1]",
+        ),
     }
 
     @pytest.mark.parametrize("command", ["check", "certify", "upsilon"])
@@ -1132,6 +1187,38 @@ class TestMenuFileOutcomes:
             assert main(["upsilon", "--rule", rule, "--menus", menu, "--json"]) == 0
             rows = json.loads(capsys.readouterr().out)
             assert rows[0]["distribution"] == {"a0": 0.5, "a1": 0.5}
+
+
+class TestMenuFileIds:
+    """A malformed id anywhere in a power-menu file exits 2 and names the
+    whole id, also where it breaks a left part that other ids share."""
+
+    @staticmethod
+    def _break_last(s):
+        return s[:-1]
+
+    @staticmethod
+    def _break_inner_pair(s):
+        # "((x0,x1),x0)" -> "((x0,x1,x0),x0)"
+        j = s.index(")")
+        return f"{s[:j]},x0{s[j:]}"
+
+    @pytest.mark.parametrize(
+        "position, breaking",
+        [(0, "_break_last"), (1024, "_break_inner_pair"), (2047, "_break_last"),
+         (2047, "_break_inner_pair")],
+    )
+    def test_malformed_id_is_named(self, position, breaking, tmp_path, capsys):
+        data = power(scalar_menu({"x0": 0.0, "x1": 0.5}), 11).to_json()
+        assert len(data["actions"]) == 2048
+        item = data["actions"][position]
+        item["id"] = broken = getattr(self, breaking)(item["id"])
+        menu = write(tmp_path / "menu.json", data)
+        rule = write(tmp_path / "rule.json", {"type": "mnl", "beta": 1.0})
+        assert main(["check", "--rule", rule, "--menus", menu]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: invalid menu file {menu}: malformed action id: {broken!r}\n"
 
 
 class TestEpsDecomp:

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,9 @@ from stochoice import (
     scalar_menu,
     unit_binary_menu,
 )
+
+from stochoice import menus
+from stochoice.menus import _parse_id, _read_ids
 
 from conftest import PRIZES, canonical_key, grid_lottery_menu
 
@@ -155,7 +159,10 @@ class TestActionIds:
             assert action_str(action_from_str(s)) == s
 
     @pytest.mark.parametrize(
-        "s", ["(a,bc", "(a,b", "((a,b),c", "(a,b)c", "(a)", "()", "(a,b,c)", "a,b", "a)", "(a,b))"]
+        "s",
+        ["(a,bc", "(a,b", "((a,b),c", "(a,b)c", "(a)", "()", "(a,b,c)", "a,b", "a)", "(a,b))",
+         # near misses of "(L,atom)"
+         "a,b)", ",a)", "((a,b,c),d)", "((a,b),c,)", "(a,b),c)", "((a,b)c,d)"],
     )
     def test_malformed_ids_rejected(self, s):
         with pytest.raises(ValueError, match="malformed action id"):
@@ -215,6 +222,67 @@ class TestIds:
         assert "(a,b)" not in repr(m)
         with pytest.raises(TypeError):
             Menu(m.space, m.entries, ("(a,b)",))
+
+
+def _read_one(s):
+    """(True, id) or (False, message) for one id read alone."""
+    try:
+        return True, action_from_str(s)
+    except ValueError as exc:
+        return False, str(exc)
+
+
+class TestIdReader:
+    """A batch of ids is read through one memo of left parts; each id
+    reads as the stack parser reads it alone, or raises its error."""
+
+    @given(nested_menus, st.lists(st.text("(),ab", max_size=12), max_size=30), st.data())
+    def test_batch_reads_as_one_id_at_a_time(self, menu, texts, data):
+        # one-character edits of the menu's ids: near misses that share
+        # left parts with the ids themselves
+        for s in data.draw(st.lists(st.sampled_from(menu.ids), max_size=20)):
+            j = data.draw(st.integers(0, len(s)))
+            edit = data.draw(st.sampled_from(["", *"(),ab"]))
+            texts.append(s[:j] + edit + s[j + data.draw(st.integers(0, 1)) :])
+        texts = [*menu.ids, *texts]
+        data.draw(st.randoms()).shuffle(texts)
+        alone = [_read_one(s) for s in texts]
+        for s, (ok, read) in zip(texts, alone):
+            if ok:
+                assert read == _parse_id(s, s)
+            else:
+                assert read == f"malformed action id: {s!r}"
+                with pytest.raises(ValueError, match="malformed action id"):
+                    _parse_id(s, s)
+        good = [s for s, (ok, _) in zip(texts, alone) if ok]
+        assert list(_read_ids(good)) == [read for ok, read in alone if ok]
+        assert set(menu.ids) <= set(good)
+        for s, (ok, message) in zip(texts, alone):
+            if not ok:
+                # after every good id, so the memo holds their left parts
+                with pytest.raises(ValueError) as exc:
+                    list(_read_ids([*good, s]))
+                assert str(exc.value) == message
+
+    def test_memo_lives_only_for_one_read(self, monkeypatch):
+        readers = []
+        read_ids = menus._read_ids
+
+        def recording(texts):
+            reader = read_ids(texts)
+            readers.append(weakref.ref(reader))
+            return reader
+
+        monkeypatch.setattr(menus, "_read_ids", recording)
+        data = power(scalar_menu({"x0": 0.0, "x1": 1.0}), 3).to_json()
+        m1 = Menu.from_json(data)
+        m2 = Menu.from_json(data)
+        assert len(readers) == 2
+        assert all(ref() is None for ref in readers)
+        # left parts are shared within one read, never across reads
+        assert m1.actions[0][0] == ("x0", "x0")
+        assert m1.actions[0][0] is m1.actions[1][0]
+        assert m2.actions[0][0] is not m1.actions[0][0]
 
 
 class TestJson:
