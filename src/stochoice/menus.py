@@ -17,15 +17,20 @@ from typing import Union
 import numpy as np
 
 from .spaces import (
+    DISTRIBUTION,
     SCALAR,
     Outcome,
     Space,
     SpaceMismatchError,
     _canonical_text,
     _compose_all,
+    _lottery_outcomes,
+    _lottery_texts,
     _NumberTexts,
     _number_text,
+    _padded,
     _trusted_outcome,
+    compose,
     equal_outcome_blocks,
     feature_rows,
     outcome_from_json,
@@ -50,6 +55,8 @@ _SHARED_TEXTS_MIN = 128
 _DIGEST_BLOCK = 4096
 
 _RESERVED = set("(),")
+# an atom may not hold the canonical encoding's separators either
+_ATOM_RESERVED = _RESERVED | set("=;")
 _ACTION_TOKENS = re.compile(r"[(),]|[^(),]+")
 _OPEN = object()
 
@@ -134,8 +141,8 @@ def id_digests(ids) -> np.ndarray:
 
 def _check_atoms(a: ActionId) -> None:
     if isinstance(a, str):
-        if _RESERVED & set(a):
-            raise ValueError(f"atomic action label may not contain ( ) , : {a!r}")
+        if not _ATOM_RESERVED.isdisjoint(a):
+            raise ValueError(f"atomic action label {a!r} may not contain any of ( ) , = ;")
         return
     left, right = a
     _check_atoms(left)
@@ -151,10 +158,12 @@ class Menu:
     ``Menu(space, entries)`` validates its entries.  A product menu
     keeps its two factors instead, and sums their feature rows ``phi``.
     Every derived value is a ``cached_property``, kept in the menu's own
-    dict from first use: a scalar product's ``entries``, ``actions`` and
-    ``outcomes`` are built only when read, and ``len``, ``index`` and
-    ``menu_hash`` never build them.  Any other product composes its
-    outcomes once.
+    dict from first use.  A scalar or lottery product's ``entries``,
+    ``actions`` and ``outcomes`` are built only when read (``to_json``,
+    ``equivalent``, pickling, ``==``), and ``len``, ``index``, ``phi``
+    and ``menu_hash`` never build them: a lottery product holds its
+    lotteries as one padded array, ``_lotteries``.  Any other product
+    composes its outcomes once.
     """
 
     def __init__(self, space: Space, entries) -> None:
@@ -216,8 +225,21 @@ class Menu:
             return tuple(o for _, o in self.entries)
         if self.space.kind == SCALAR:
             return tuple(_trusted_outcome(self.space, v) for v in self.values.tolist())
+        if self.space.kind == DISTRIBUTION:
+            return tuple(_lottery_outcomes(self.space, *self._lotteries))
         m1, m2 = self._factors
-        return tuple(_compose_all(m1.outcomes, m2.outcomes))
+        return tuple(compose(x, y) for x in m1.outcomes for y in m2.outcomes)
+
+    @cached_property
+    def _lotteries(self) -> tuple[np.ndarray, np.ndarray]:
+        """A lottery menu's outcomes as one padded (len, width, 2) float
+        array of (point, weight) and the support sizes (``_padded``),
+        aligned with ``entries``.  A product convolves its factors' rows
+        into its own, and builds no Outcome on the way."""
+        if self._factors is None:
+            return _padded([o.value for o in self.outcomes])
+        m1, m2 = self._factors
+        return _compose_all(self.space, *m1._lotteries, *m2._lotteries)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -300,13 +322,16 @@ class Menu:
     def from_json(data: dict) -> "Menu":
         space = Space.from_json(data["space"])
         ids = tuple(item["id"] for item in data["actions"])
-        # _read_ids reads only what action_str writes, so its atoms are
-        # valid, each string read is its action's id, and distinct strings
-        # are distinct actions
+        # _read_ids reads only what action_str writes, so each string read
+        # is its action's id and distinct strings are distinct actions;
+        # its atoms hold none of ( ) , but may hold = or ;, refused here
         entries = tuple(
             (a, outcome_from_json(space, item["outcome"]))
             for a, item in zip(_read_ids(ids), data["actions"])
         )
+        joined = "".join(ids)
+        if "=" in joined or ";" in joined:
+            _check_atoms(action_from_str(next(s for s in ids if "=" in s or ";" in s)))
         if not entries:
             raise ValueError("menu needs at least one action")
         if len(set(ids)) < len(ids):
@@ -348,20 +373,25 @@ def product(m1: Menu, m2: Menu) -> Menu:
     Actions are ordered pairs in lexicographic order of entry indices.
     Pairs of distinct ids are distinct and composition preserves the
     space, so nothing is re-validated; the outcomes are composed here,
-    which raises on any that is invalid.  A scalar product holds only
-    its ids and values; any other kind also builds its entries here.
+    which raises on the first that is invalid.  A scalar product holds
+    only its ids and values, and a lottery product its ids and composed
+    rows (``Menu._lotteries``); both build their entries when read.  Any
+    other kind builds its outcomes here.
     """
     if m1.space != m2.space:
         raise SpaceMismatchError()
     m = _new_menu(m1.space, (m1, m2))
     m.ids
-    if m.space.kind != SCALAR:
-        # as a plain menu holds them; built on first use instead, they
-        # left the heap more fragmented: peak RSS of the lottery_corpus
-        # benchmark rose from 122-124 MB to 134 MB
-        m.entries
-    elif not np.isfinite(m.values).all():
-        raise ValueError("outcome components must be finite")
+    if m.space.kind == SCALAR:
+        if not np.isfinite(m.values).all():
+            raise ValueError("outcome components must be finite")
+    elif m.space.kind == DISTRIBUTION:
+        # entries built here, or on first read, each left the
+        # lottery_corpus benchmark at 131-136 MB peak RSS; with only the
+        # rows it peaks at 122-123 MB
+        m._lotteries
+    else:
+        m.outcomes
     return m
 
 
@@ -437,10 +467,15 @@ def _canonical_parts(menu: Menu) -> tuple[str, list[str]]:
     A menu of at least _SHARED_TEXTS_MIN actions formats each distinct
     number once: the outcomes of a power or product menu repeat a few
     numbers many times.  A smaller menu formats every number, which is
-    cheaper where numbers rarely repeat."""
+    cheaper where numbers rarely repeat.  A lottery product is formatted
+    from its composed rows, without building its outcomes."""
     space = menu.space
     head = f"{space.kind}/{space.d}/{space.moment_order}/{','.join(space.alphabet)}#"
-    num = _number_text if len(menu) < _SHARED_TEXTS_MIN else _NumberTexts().__getitem__
+    shared = len(menu) >= _SHARED_TEXTS_MIN
+    if space.kind == DISTRIBUTION and menu._factors is not None:
+        texts = _lottery_texts(*menu._lotteries, shared)
+        return head, sorted([f"{s}={t}" for s, t in zip(menu.ids, texts)])
+    num = _NumberTexts().__getitem__ if shared else _number_text
     if space.kind == SCALAR:
         return head, sorted([f"{s}={num(v)}" for s, v in zip(menu.ids, menu.values.tolist())])
     return head, sorted([f"{s}={_canonical_text(o, num)}" for s, o in zip(menu.ids, menu.outcomes)])

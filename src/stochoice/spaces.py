@@ -32,6 +32,9 @@ PROB_SUM_TOL = 1e-12
 # default outcome-equality tolerance; prize streams compare exactly
 EQUALITY_TOL = 1e-9
 
+# the separators of the canonical encoding, which a prize label may not hold
+_PRIZE_RESERVED = set(",|;=#")
+
 # padded terms per array pass of the lottery convolution
 _BLOCK = 1 << 12
 
@@ -67,6 +70,13 @@ class Space:
                 raise ValueError("prize alphabet must be nonempty")
             if len(set(self.alphabet)) != len(self.alphabet):
                 raise ValueError("prize alphabet has duplicate labels")
+            # an empty label would make the stream ("",) encode as the
+            # empty stream
+            for p in self.alphabet:
+                if not p or not _PRIZE_RESERVED.isdisjoint(p):
+                    raise ValueError(
+                        f"prize label {p!r} must be nonempty, without any of , | ; = #"
+                    )
 
     @staticmethod
     def scalar() -> "Space":
@@ -239,7 +249,8 @@ def compose(x: Outcome, y: Outcome) -> Outcome:
         (m1, s1), (m2, s2) = x.value, y.value
         return Outcome(x.space, (m1 + m2, math.hypot(s1, s2)))
     if kind == DISTRIBUTION:
-        return _compose_all((x,), (y,))[0]
+        rows = _compose_all(x.space, *_padded((x.value,)), *_padded((y.value,)))
+        return _lottery_outcomes(x.space, *rows)[0]
     if kind == PRIZE_STREAM:
         return Outcome(x.space, x.value + y.value)
     # matrix product, order preserved
@@ -247,37 +258,48 @@ def compose(x: Outcome, y: Outcome) -> Outcome:
     return Outcome(x.space, tuple(map(tuple, prod)))
 
 
-def _compose_all(xs: Sequence[Outcome], ys: Sequence[Outcome]) -> list[Outcome]:
-    """``x * y`` for every x in xs and y in ys, in row-major order.
+def _compose_all(
+    space: Space,
+    x_rows: np.ndarray,
+    x_sizes: np.ndarray,
+    y_rows: np.ndarray,
+    y_sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lottery ``x * y`` for every padded x row and y row
+    (``_padded``), in row-major order, as padded rows and support sizes.
 
-    All outcomes share one space, which the caller has checked.
-    Lotteries are convolved in array passes over blocks of at most
-    ``_BLOCK`` padded terms, unless a single pair exceeds it; any other
-    kind composes pair by pair.
+    Pairs are convolved in array passes over blocks of at most
+    ``_BLOCK`` padded terms, unless a single pair exceeds it.  The first
+    invalid composition raises Outcome's own error.
     """
-    space = xs[0].space
-    if space.kind != DISTRIBUTION:
-        return [compose(x, y) for x in xs for y in ys]
-    x_sizes = np.array([len(x.value) for x in xs])
-    y_rows, y_sizes = _padded([y.value for y in ys])
     per_point = y_rows.shape[0] * y_rows.shape[1]  # padded terms of one x point
-    out: list[Outcome] = []
+    blocks = []
     start = 0
-    while start < len(xs):
+    while start < len(x_sizes):
         # as many whole rows as fit, or one row
         widths = np.maximum.accumulate(x_sizes[start : start + max(1, _BLOCK // per_point)])
         fits = widths * np.arange(1, len(widths) + 1) * per_point <= _BLOCK
         stop = start + max(1, int(np.count_nonzero(fits)))
-        x_rows, x_block_sizes = _padded([x.value for x in xs[start:stop]])
+        x_block = x_rows[start:stop, : widths[stop - start - 1]]
         # a row too large alone takes ys in slices; rows that fit
         # together take all of ys at once, which keeps row-major order
-        step = max(1, _BLOCK // (x_rows.shape[0] * x_rows.shape[1] * y_rows.shape[1]))
-        for j in range(0, len(ys), step):
-            out += _convolve_rows(
-                space, x_rows, x_block_sizes, y_rows[j : j + step], y_sizes[j : j + step]
+        step = max(1, _BLOCK // (x_block.shape[0] * x_block.shape[1] * y_rows.shape[1]))
+        for j in range(0, len(y_sizes), step):
+            blocks.append(
+                _convolve_rows(
+                    space, x_block, x_sizes[start:stop], y_rows[j : j + step], y_sizes[j : j + step]
+                )
             )
         start = stop
-    return out
+    if len(blocks) == 1:
+        return blocks[0]
+    sizes = np.concatenate([block_sizes for _, block_sizes in blocks])
+    rows = np.full((len(sizes), sizes.max(), 2), np.inf)
+    at = 0
+    for block_rows, block_sizes in blocks:
+        rows[at : at + len(block_sizes), : block_rows.shape[1]] = block_rows
+        at += len(block_sizes)
+    return rows, sizes
 
 
 def _padded(lotteries: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -341,8 +363,9 @@ def _convolve_rows(
     x_sizes: np.ndarray,
     y_rows: np.ndarray,
     y_sizes: np.ndarray,
-) -> list[Outcome]:
-    """The convolution of every padded x row with every padded y row.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The convolution of every padded x row with every padded y row, as
+    padded rows and support sizes.
 
     A pair's terms are ``(p + q, wp * wq)`` for p in x, q in y, sorted
     stably by (point, weight); a term joins the open run when it collides
@@ -397,17 +420,36 @@ def _convolve_rows(
         run_weights[live] += weights[run[live] + k]
 
     bounds = np.flatnonzero(head[run])
-    valid = np.logical_and.reduceat(
+    sizes = np.diff(bounds, append=len(run))
+    rows = np.full((len(sizes), sizes.max(), 2), np.inf)
+    real = np.arange(rows.shape[1]) < sizes[:, None]
+    rows[real] = np.stack((run_points, run_weights), axis=1)
+    ok = np.logical_and.reduceat(
         (run_weights > 0) & np.isfinite(run_points) & np.isfinite(run_weights), bounds
     )
-    ws = run_weights.tolist()
-    spans = list(zip(bounds.tolist(), [*bounds[1:].tolist(), len(ws)]))
-    terms = list(zip(run_points.tolist(), ws))
-    for ok, (a, b) in zip(valid.tolist(), spans):
-        if not ok or abs(math.fsum(ws[a:b]) - 1.0) > PROB_SUM_TOL:
-            # Outcome rejects the pair with its own error
-            Outcome(space, terms[a:b])
-    return [_trusted_outcome(space, tuple(terms[a:b])) for a, b in spans]
+    # a flagged pair sums to 0 here.  A sum of k positive terms is
+    # within k * 2^-53 of its exact value in any order, so only a sum
+    # this close to the tolerance needs fsum to decide it
+    weights = np.where(ok[:, None] & real, rows[..., 1], 0.0)
+    total = weights.sum(axis=1)
+    gap = np.abs(total - 1.0)
+    near = np.abs(gap - PROB_SUM_TOL) <= (rows.shape[1] + 2) * 2.0**-52 * np.maximum(total, 1.0)
+    for i in np.flatnonzero(near).tolist():
+        gap[i] = abs(math.fsum(weights[i].tolist()) - 1.0)
+    ok &= gap <= PROB_SUM_TOL
+    for i in np.flatnonzero(~ok).tolist():
+        # Outcome rejects the pair with its own error
+        Outcome(space, rows[i, : sizes[i]].tolist())
+    return rows, sizes
+
+
+def _lottery_outcomes(space: Space, rows: np.ndarray, sizes: np.ndarray) -> list[Outcome]:
+    """Each padded lottery row (``_padded``) as an Outcome, unvalidated:
+    the rows were checked where they were composed or read."""
+    return [
+        _trusted_outcome(space, tuple(map(tuple, row[:k])))
+        for row, k in zip(rows.tolist(), sizes.tolist())
+    ]
 
 
 def identity(space: Space) -> Outcome:
@@ -788,3 +830,32 @@ def _canonical_text(x: Outcome, num: Callable[[float], str]) -> str:
     if kind == PRIZE_STREAM:
         return "|".join(x.value)
     return ";".join(",".join([num(t) for t in row]) for row in x.value)
+
+
+def _lottery_texts(rows: np.ndarray, sizes: np.ndarray, shared: bool) -> list[str]:
+    """``_canonical_text`` of each padded lottery row (``_padded``).
+
+    With ``shared`` each distinct row is formatted once, and in those
+    rows each distinct point and weight; rows and numbers are told apart
+    by their bits, so -0.0 still prints as "-0"."""
+    texts_of = _shared_texts if shared else lambda v: map(_number_text, v.tolist())
+    if shared:
+        flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+        _, first, at = np.unique(
+            flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+        rows, sizes = rows[first], sizes[first]
+    terms = rows[np.arange(rows.shape[1]) < sizes[:, None]]
+    terms = [f"{p}:{w}" for p, w in zip(texts_of(terms[:, 0]), texts_of(terms[:, 1]))]
+    ends = np.cumsum(sizes).tolist()
+    texts = ["|".join(terms[a:b]) for a, b in zip([0, *ends], ends)]
+    return list(map(texts.__getitem__, at.ravel().tolist())) if shared else texts
+
+
+def _shared_texts(values: np.ndarray) -> list[str]:
+    """``_number_text`` of each value, formatting each bit pattern once."""
+    bits, at = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = [_number_text(v) for v in bits.view(float).tolist()]
+    return list(map(texts.__getitem__, at.ravel().tolist()))

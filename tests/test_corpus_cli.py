@@ -1220,6 +1220,79 @@ class TestMenuFileIds:
         assert out == ""
         assert err == f"error: invalid menu file {menu}: malformed action id: {broken!r}\n"
 
+    @pytest.mark.parametrize(
+        "ids, label", [(["b", "a=1;b"], "a=1;b"), (["a", "((a,b=2),c)"], "b=2")]
+    )
+    @pytest.mark.parametrize("command", ["check", "upsilon"])
+    def test_separator_in_atom_is_named(self, ids, label, command, tmp_path, capsys):
+        data = {"space": {"kind": "real_scalar"}, "actions": [{"id": s, "outcome": 0} for s in ids]}
+        menu = write(tmp_path / "menu.json", data)
+        rule = write(tmp_path / "rule.json", {"type": "mnl", "beta": 1.0})
+        assert main([command, "--rule", rule, "--menus", menu]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: invalid menu file {menu}: "
+            f"atomic action label {label!r} may not contain any of ( ) , = ;\n"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "upsilon"])
+    def test_separator_in_prize_label_is_named(self, command, tmp_path, capsys):
+        space = {"kind": "prize_stream", "alphabet": ["x", "y", "x|y"]}
+        menu = write(tmp_path / "menu.json",
+                     {"space": space, "actions": [{"id": "a", "outcome": ["x|y"]}]})
+        rule = write(tmp_path / "rule.json", {"type": "uniform"})
+        assert main([command, "--rule", rule, "--menus", menu]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: invalid menu file {menu}: "
+            "prize label 'x|y' must be nonempty, without any of , | ; = #\n"
+        )
+
+
+class TestLotteryProductsStayRows:
+    """upsilon and check choose from and hash a lottery product through
+    its composed rows: no product's outcomes are built."""
+
+    def test_no_product_outcomes_are_built(self, tmp_path, capsys, monkeypatch):
+        from functools import cached_property
+
+        from stochoice import Menu, product
+
+        built = []
+        outcomes = Menu.__dict__["outcomes"].func
+
+        def spy(menu):
+            if menu._factors is not None:
+                built.append(len(menu))
+            return outcomes(menu)
+
+        prop = cached_property(spy)
+        prop.__set_name__(Menu, "outcomes")
+        monkeypatch.setattr(Menu, "outcomes", prop)
+
+        space = {"kind": "discrete_distribution", "moment_order": 2}
+        utility = {"space": space, "gammas": [1.0, -0.5]}
+        rule = write(tmp_path / "rule.json", {"type": "perturbed", "delta": 0.05, "seed": 3,
+                                              "base": {"type": "general_mnl", "utility": utility}})
+        lotteries = [([0.0, 0.5, 1.0], [0.2, 0.3, 0.5]), ([-0.0, 1.0], [0.6, 0.4]), ([2.0], [1.0])]
+        menu = write(tmp_path / "menu.json", {"space": space, "actions": [
+            {"id": f"l{i}", "outcome": {"support": s, "probs": p}}
+            for i, (s, p) in enumerate(lotteries)
+        ]})
+        spec = write(tmp_path / "spec.json", {"space": space, "menu_count": 20, "seed": 5})
+        assert main(["upsilon", "--rule", rule, "--menus", menu, "--n-max", "6"]) == 0
+        assert main(["check", "--rule", rule, "--corpus", spec, "--pairs", "10",
+                     "--axioms", "neutrality,positivity,decomposability"]) in (0, 1)
+        capsys.readouterr()
+        assert built == []
+        # the spy sees a product's outcomes once they are read
+        square = product(Menu.from_json(json.loads(Path(menu).read_text())),
+                         Menu.from_json(json.loads(Path(menu).read_text())))
+        assert len(square.outcomes) == 9
+        assert built == [9]
+
 
 class TestEpsDecomp:
     """``upsilon --eps-decomp`` is finite and >= 0, so ``--json`` never

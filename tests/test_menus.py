@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -527,8 +528,9 @@ def test_composed_lottery_digest_is_pinned(name):
 
 def test_lottery_power_builds_in_bounded_memory():
     # the largest step composes 6561 x 3 lotteries, about 10^6 terms: held
-    # at once they would add about 90 MB over the result; in blocks the
-    # excess is the freed n = 8 menu, about 14 MB
+    # at once they would add about 90 MB over the result.  In blocks the
+    # excess is the freed rows of the n = 8 menu (1.8 MB) and the blocks'
+    # rows until they are stacked into one array (6 MB): 8.7 MB measured
     base = grid_lottery_menu()
     gc.collect()
     tracemalloc.start()
@@ -538,4 +540,41 @@ def test_lottery_power_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert len(menu) == 19683
-    assert peak - retained < 30e6
+    assert "outcomes" not in vars(menu)
+    assert peak - retained < 12e6
+
+
+class TestCanonicalEncodingIsInjective:
+    """The separators of the encoding that menu_hash digests, "=" and ";"
+    between parts and "," "|" "#" in prize streams and the alphabet, may
+    not appear in an atomic action label or a prize label."""
+
+    @pytest.mark.parametrize(
+        "forged, honest",
+        [
+            ({"a=1;b": 2.0}, {"a": 1.0, "b": 2.0}),
+            ({"a": 1.0, "b=2;z": 0.0}, {"a": 1.0, "b": 2.0, "z": 0.0}),
+        ],
+    )
+    def test_separators_in_atoms_are_refused(self, forged, honest):
+        # the forged menu's parts would spell the honest menu's, so both
+        # would get one digest and Perturbed would give "a" one shock
+        label = next(a for a in forged if "=" in a)
+        assert ";".join(f"{a}={v:g}" for a, v in forged.items()) == canonical_key(
+            scalar_menu(honest)
+        ).split("#")[1]
+        with pytest.raises(ValueError, match=f"atomic action label '{label}' may not contain"):
+            scalar_menu(forged)
+        with pytest.raises(ValueError, match=f"atomic action label '{label}' may not contain"):
+            scalar_menu({("p", label): 0.0})
+
+    @pytest.mark.parametrize("label", ["x|y", "x,y", "x;y", "x=y", "x#y", ""])
+    def test_separators_in_prize_labels_are_refused(self, label):
+        # a stream holding the label "x|y" would encode as the stream (x, y)
+        with pytest.raises(ValueError, match=re.escape(f"prize label '{label}' must be nonempty")):
+            Space.prizes(("x", "y", label))
+
+    def test_reserved_message_lists_the_reserved_set(self):
+        with pytest.raises(ValueError, match=r"may not contain any of \( \) , = ;$"):
+            scalar_menu({"a:b)": 0.0})
+        assert scalar_menu({"a:b": 0.0}).actions == ("a:b",)

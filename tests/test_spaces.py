@@ -26,6 +26,7 @@ from stochoice import (
     scalar,
     spaces,
 )
+from stochoice import menus
 from stochoice.spaces import MERGE_RTOL
 
 from conftest import (
@@ -510,3 +511,78 @@ class TestLotteryComposition:
         assert len(sizes) > 2
         assert max(sizes) <= spaces._BLOCK
 
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_lotteries(), min_size=1, max_size=3),
+        st.integers(2, 3),
+        st.sampled_from([1, 64, spaces._BLOCK]),
+    )
+    # signed zeros keep their sign through -0.0 + -0.0
+    @example([_lottery([-0.0, 1.0], [0.5, 0.5]), _lottery([0.0, -1.0], [0.75, 0.25])], 3, 1)
+    # a chain of sums each within the tolerance of the next
+    @example([_lottery([0.0, 1.1e-12, 2.2e-12], [0.3, 0.3, 0.4])], 3, 1)
+    # 1e-200 * 1e-200 underflows to a zero weight
+    @example([_lottery([0.0, 1.0], [1e-200, 1.0])], 2, 64)
+    # 1e308 + 1e308 overflows to an infinite point
+    @example([_lottery([1e308, -1.0], [0.5, 0.5])], 2, 64)
+    def test_power_matches_pairwise_convolution(self, xs, n, block):
+        # every step convolves the last step's rows with the base menu's;
+        # the pairwise loop composes outcomes, and both give the first error
+        def pairwise():
+            acc = xs
+            for _ in range(n - 1):
+                acc = [_sequential_compose(a, x) for a in acc for x in xs]
+            return acc
+
+        with mock.patch.object(spaces, "_BLOCK", block):
+            got = _exact(lambda: power(_lottery_menu("x", xs), n).outcomes)
+        assert got == _exact(pairwise)
+
+    def test_weight_sum_is_checked_exactly_near_the_tolerance(self):
+        # times 1 - 2^-51 these weights sum in order to 1 - 0.99998e-12,
+        # within the tolerance, but exactly (fsum) to 1 - 1.00009e-12
+        x = _lottery([0.0, 1.0, 2.0, 3.0], [0.12802905250849722, 0.4014652729555932,
+                                            0.08948427004310511, 0.3810214044918048])
+        y = _lottery([0.0], [0.9999999999999996])
+        for compute in (
+            lambda: _sequential_compose(x, y),
+            lambda: compose(x, y),
+            lambda: product(_lottery_menu("x", [x]), _lottery_menu("y", [y])),
+        ):
+            with pytest.raises(ValueError, match="distribution probabilities must sum to 1"):
+                compute()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_lotteries(), min_size=1, max_size=4),
+        st.lists(_lotteries(), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    # rows equal in value but not in bits: "-0" and "0" stay apart
+    @example([_lottery([-0.0, 1.0], [0.5, 0.5]), _lottery([0.0, 1.0], [0.5, 0.5])] * 2,
+             [_lottery([-0.0], [1.0])], True)
+    def test_product_text_from_rows_is_the_outcome_text(self, xs, ys, shared):
+        # either side of _SHARED_TEXTS_MIN, a lottery product's canonical
+        # text is formatted from its rows without building its outcomes
+        try:
+            menu = product(_lottery_menu("x", xs), _lottery_menu("y", ys))
+        except ValueError:
+            reject()
+        with mock.patch.object(menus, "_SHARED_TEXTS_MIN", 0 if shared else len(menu) + 1):
+            body = menus._canonical_parts(menu)[1]
+        assert "outcomes" not in vars(menu)
+        assert body == sorted(
+            f"{s}={spaces._canonical_text(o, spaces._number_text)}"
+            for s, o in zip(menu.ids, menu.outcomes)
+        )
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_power_text_from_rows_on_either_side_of_the_threshold(self, n):
+        menu = power(grid_lottery_menu(), n)
+        assert (len(menu) >= menus._SHARED_TEXTS_MIN) == (n == 5)
+        body = menus._canonical_parts(menu)[1]
+        assert body == sorted(
+            f"{s}={spaces._canonical_text(o, spaces._number_text)}"
+            for s, o in zip(menu.ids, menu.outcomes)
+        )
